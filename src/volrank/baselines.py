@@ -2,9 +2,10 @@
 
 Two baselines are provided for comparison against the structured 3D SVD:
 
-* Tucker via HOOI (higher-order orthogonal iteration), initialized from
-  the truncated per-mode SVD and swept until the relative-error
-  improvement falls below tolerance.
+* Tucker via HOOI (higher-order orthogonal iteration): the truncated
+  HOSVD from :func:`volrank.s3dsvd.decompose`, refined by sweeps until
+  the relative-error improvement falls below tolerance.  Both models
+  share the s3dsvd contraction, expansion and level check.
 * CPD via ALS (alternating least squares) with seeded random
   initialization, per-sweep column normalization into non-negative
   weights, and a ridge fallback when the normal equations go singular.
@@ -19,14 +20,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 import time
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from . import metrics
-from .errors import NumericError
+from .errors import DegenerateInputError, NumericError
+from .s3dsvd import _check_level, contract, decompose, expand
 from .tensor_core import as_tensor3, mode_product, svd, unfold
 
 __all__ = [
@@ -109,40 +110,26 @@ def _check_finite(x):
         raise NumericError("input tensor contains non-finite entries")
 
 
-def _expand(core, factors):
-    y = core
-    for mode, u in enumerate(factors, start=1):
-        y = mode_product(y, u, mode)
-    return y
-
-
-def _contract(x, factors):
-    g = x
-    for mode, u in enumerate(factors, start=1):
-        g = mode_product(g, u.T, mode)
-    return g
-
-
 def tucker_decompose(x, k, max_iters=50, tol=1e-6):
     """Fit a rank-``(k, k, k)`` Tucker model to ``x`` with HOOI.
 
-    Starts from the truncated per-mode SVD and alternates mode updates
-    until the relative-error improvement drops below ``tol`` or
-    ``max_iters`` sweeps have run.
+    Starts from ``decompose(x, k)``, the truncated HOSVD, and alternates
+    mode updates until the relative-error improvement drops below
+    ``tol`` or ``max_iters`` sweeps have run.
     """
     x = as_tensor3(x)
-    k = _check_rank(x, k)
-    _check_finite(x)
+    hosvd = decompose(x, k)
+    k = hosvd.r
     normx = float(np.linalg.norm(x.ravel()))
 
-    def relerr(factors):
+    def relerr(core, factors):
         if normx == 0.0:
             return 0.0
-        resid = x - _expand(_contract(x, factors), factors)
+        resid = x - expand(core, factors, k)
         return float(np.linalg.norm(resid.ravel())) / normx
 
-    factors = [svd(unfold(x, mode)).u[:, :k].copy() for mode in (1, 2, 3)]
-    history = [relerr(factors)]
+    factors, core = list(hosvd.factors), hosvd.core
+    history = [relerr(core, factors)]
     for _ in range(max_iters):
         for mode in (1, 2, 3):
             y = x
@@ -150,27 +137,23 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
                 if other != mode:
                     y = mode_product(y, factors[other - 1].T, other)
             factors[mode - 1] = svd(unfold(y, mode)).u[:, :k].copy()
-        history.append(relerr(factors))
+        core = contract(x, factors)
+        history.append(relerr(core, factors))
         if history[-2] - history[-1] < tol:
             break
     return TuckerModel(
         dims=x.shape,
         rank=k,
         factors=tuple(factors),
-        core=_contract(x, factors),
+        core=core,
         fit_history=tuple(history),
     )
 
 
 def tucker_reconstruct(model, k=None):
     """Expand a Tucker model, optionally truncated to its leading ``k`` levels."""
-    if k is None:
-        k = model.rank
-    k = int(k)
-    if not 1 <= k <= model.rank:
-        raise ValueError(f"k must satisfy 1 <= k <= {model.rank}, got {k}")
-    core = np.ascontiguousarray(model.core[:k, :k, :k])
-    return _expand(core, tuple(u[:, :k] for u in model.factors))
+    k = _check_level(model.rank if k is None else k, model.rank)
+    return expand(model.core, model.factors, k)
 
 
 def _khatri_rao(hi, lo):
@@ -248,21 +231,15 @@ def cpd_reconstruct(model):
 
 
 def _study_run(x, k, seed, max_iters, tol):
+    # Relabel numeric failures only; a bug such as a TypeError propagates.
     try:
         start = time.perf_counter()
         model = cpd_decompose(x, k, seed, max_iters=max_iters, tol=tol)
         elapsed = time.perf_counter() - start
-        xhat = cpd_reconstruct(model)
-        report = metrics.MetricsReport(
-            method="cpd",
-            k=k,
-            psnr_db=metrics.psnr(x, xhat),
-            mse=metrics.mse(x, xhat),
-            rel_err=metrics.rel_err(x, xhat),
-            per=None,
-            elapsed_seconds=elapsed,
+        report = metrics.score(
+            x, cpd_reconstruct(model), "cpd", k, elapsed_seconds=elapsed
         )
-    except Exception as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, DegenerateInputError) as exc:
         raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
     return seed, report, elapsed
 
@@ -276,7 +253,7 @@ def _aggregate(values):
     if np.all(values == values[0]):
         return mean, 0.0
     sd = float(np.std(values, ddof=1))
-    quantile = float(scipy.stats.t.ppf(0.975, n - 1))
+    quantile = float(scipy.special.stdtrit(n - 1, 0.975))
     return mean, quantile * sd / math.sqrt(n)
 
 

@@ -166,14 +166,8 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 start = time.perf_counter()
                 xhat = s3dsvd.reconstruct(model, k)
                 elapsed = decompose_share + (time.perf_counter() - start)
-                report = metrics.MetricsReport(
-                    method="s3dsvd",
-                    k=k,
-                    psnr_db=metrics.psnr(x, xhat),
-                    mse=metrics.mse(x, xhat),
-                    rel_err=metrics.rel_err(x, xhat),
-                    per=metrics.per(model, k),
-                    elapsed_seconds=elapsed,
+                report = metrics.score(
+                    x, xhat, "s3dsvd", k, metrics.per(model, k), elapsed
                 )
                 rows.append(_report_to_row(report))
                 say(f"sweep method=s3dsvd k={k} done")
@@ -188,15 +182,7 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 model = baselines.tucker_decompose(x, k)
                 elapsed = time.perf_counter() - start
                 xhat = baselines.tucker_reconstruct(model)
-                report = metrics.MetricsReport(
-                    method="tucker",
-                    k=k,
-                    psnr_db=metrics.psnr(x, xhat),
-                    mse=metrics.mse(x, xhat),
-                    rel_err=metrics.rel_err(x, xhat),
-                    per=None,
-                    elapsed_seconds=elapsed,
-                )
+                report = metrics.score(x, xhat, "tucker", k, elapsed_seconds=elapsed)
                 rows.append(_report_to_row(report))
                 say(f"sweep method=tucker k={k} done")
         else:
@@ -333,16 +319,9 @@ def _cmd_metrics(args):
             method = "cpd"
             k = model.rank
     elapsed = time.perf_counter() - start
-    row = {
-        "method": method,
-        "k": k,
-        "psnr_db": metrics.psnr(x, xhat),
-        "mse": metrics.mse(x, xhat),
-        "rel_err": metrics.rel_err(x, xhat),
-        "per": per_value,
-        "time_s": elapsed,
-    }
-    _write_csv([row], _csv_columns(False, not args.no_timing), args.csv)
+    report = metrics.score(x, xhat, method, k, per_value, elapsed)
+    columns = _csv_columns(False, not args.no_timing)
+    _write_csv([_report_to_row(report)], columns, args.csv)
     return EXIT_OK
 
 

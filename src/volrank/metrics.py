@@ -79,6 +79,19 @@ def rel_err(x, xhat):
     return frobenius_norm(x - xhat) / normx
 
 
+def score(x, xhat, method, k, per=None, elapsed_seconds=None):
+    """Score ``xhat`` against ``x`` as one ``method``/``k`` cell."""
+    return MetricsReport(
+        method=method,
+        k=k,
+        psnr_db=psnr(x, xhat),
+        mse=mse(x, xhat),
+        rel_err=rel_err(x, xhat),
+        per=per,
+        elapsed_seconds=elapsed_seconds,
+    )
+
+
 def _qsigma_cumulative(model):
     """Cumulative squared-qsigma energy; sequential so partials are monotone."""
     energy = np.cumsum(model.qsigma**2)

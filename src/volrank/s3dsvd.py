@@ -96,20 +96,30 @@ def decompose(x, r):
     if not np.isfinite(x).all():
         raise NumericError("input tensor contains non-finite entries")
     factors = tuple(svd(unfold(x, mode)).u[:, :r].copy() for mode in (1, 2, 3))
-    core = x
-    for mode, u in enumerate(factors, start=1):
-        core = mode_product(core, u.T, mode)
+    core = contract(x, factors)
     qsigma = np.einsum("iii->i", core).copy()
     return S3dModel(dims=x.shape, r=r, factors=factors, core=core, qsigma=qsigma)
 
 
-def reconstruct(model, k):
-    """Truncated reconstruction from the leading ``k`` levels of ``model``."""
-    k = _check_level(k, model.r)
-    xk = np.ascontiguousarray(model.core[:k, :k, :k])
-    for mode, u in enumerate(model.factors, start=1):
+def contract(x, factors):
+    """Core of ``x`` against orthonormal ``factors``: ``x`` times each ``u_m^T``."""
+    core = x
+    for mode, u in enumerate(factors, start=1):
+        core = mode_product(core, u.T, mode)
+    return core
+
+
+def expand(core, factors, k):
+    """Expand the leading ``k x k x k`` block of ``core`` through ``u_m[:, :k]``."""
+    xk = np.ascontiguousarray(core[:k, :k, :k])
+    for mode, u in enumerate(factors, start=1):
         xk = mode_product(xk, u[:, :k], mode)
     return xk
+
+
+def reconstruct(model, k):
+    """Truncated reconstruction from the leading ``k`` levels of ``model``."""
+    return expand(model.core, model.factors, _check_level(k, model.r))
 
 
 def diagonal_expansion(model, k):

@@ -11,19 +11,21 @@ Both formats are little-endian with fixed headers:
   core (C order) plus qsigma for s3dsvd, core alone for tucker, weights
   plus a u64 seed for cpd.
 
-Factors are stored column-major and qsigma-ordered, so reading a prefix
-of ``j`` columns per mode plus the leading ``j^3`` core block yields the
-same reconstruction as truncating the fully parsed model.
+A level-``j`` read parses the whole model, then keeps the leading ``j``
+columns per mode and the leading ``j^3`` core block; it reconstructs
+exactly as the truncated full model does.  The level-``j`` data is
+scattered through the file, so every level reads every byte.
 """
 
+import dataclasses
 import struct
 
 import numpy as np
 
 from .baselines import CpModel, TuckerModel
 from .errors import DegenerateInputError, NumericError, ParseError, ShapeError
-from .s3dsvd import S3dModel
-from .tensor_core import as_tensor3, mode_product
+from .s3dsvd import S3dModel, _check_level, expand
+from .tensor_core import as_tensor3
 
 __all__ = [
     "gen_synthetic",
@@ -207,22 +209,17 @@ def model_from_bytes(data, level=None):
 def _truncate_model(model, level):
     if isinstance(model, CpModel):
         raise ValueError("cpd models reconstruct at their fitted rank; level is not supported")
-    rank = model.r if isinstance(model, S3dModel) else model.rank
-    if not 1 <= level <= rank:
-        raise ValueError(f"level must satisfy 1 <= level <= {rank}, got {level}")
-    factors = tuple(u[:, :level].copy() for u in model.factors)
-    core = np.ascontiguousarray(model.core[:level, :level, :level])
-    if isinstance(model, S3dModel):
-        return S3dModel(
-            dims=model.dims,
-            r=level,
-            factors=factors,
-            core=core,
-            qsigma=model.qsigma[:level].copy(),
-        )
-    return TuckerModel(
-        dims=model.dims, rank=level, factors=factors, core=core, fit_history=()
+    is_s3d = isinstance(model, S3dModel)
+    level = _check_level(level, model.r if is_s3d else model.rank, "level")
+    head = dict(
+        factors=tuple(u[:, :level].copy() for u in model.factors),
+        core=np.ascontiguousarray(model.core[:level, :level, :level]),
     )
+    if is_s3d:
+        return dataclasses.replace(
+            model, r=level, qsigma=model.qsigma[:level].copy(), **head
+        )
+    return dataclasses.replace(model, rank=level, fit_history=(), **head)
 
 
 def write_model(path, model):
@@ -272,10 +269,7 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
                 f"rho must satisfy 1 <= rho <= min(dims) = {min(dims)}, got {rho}"
             )
         factors = [np.linalg.qr(rng.standard_normal((n, rho)))[0] for n in dims]
-        x = rng.standard_normal((rho, rho, rho))
-        for mode, q in enumerate(factors, start=1):
-            x = mode_product(x, q, mode)
-        return x
+        return expand(rng.standard_normal((rho, rho, rho)), factors, rho)
     if kind in ("blobs", "blobs_noisy"):
         blobs = int(blobs)
         if blobs < 1:

@@ -62,6 +62,16 @@ class TestTuckerDecompose:
                 )
                 assert hooi <= hosvd + 1e-10
 
+    def test_zero_sweeps_is_the_s3dsvd_model(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((7, 8, 9))
+        model = baselines.tucker_decompose(x, 3, max_iters=0)
+        hosvd = s3dsvd.decompose(x, 3)
+        assert len(model.fit_history) == 1
+        assert np.array_equal(model.core, hosvd.core)
+        for u, v in zip(model.factors, hosvd.factors):
+            assert np.array_equal(u, v)
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             baselines.tucker_decompose(np.ones((4, 5, 6)), 5)
@@ -280,6 +290,26 @@ class TestCpdStudy:
         for key in ("psnr_db", "mse", "rel_err"):
             assert serial.mean[key] == threaded.mean[key]
             assert serial.ci_halfwidth[key] == threaded.ci_halfwidth[key]
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_programming_error_propagates(self, monkeypatch, threads):
+        def broken(*args, **kwargs):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(baselines, "cpd_decompose", broken)
+        x, _ = rank_one_target(seed=22)
+        with pytest.raises(TypeError, match="broken fit"):
+            baselines.cpd_study(x, 1, seeds=[3, 4], threads=threads)
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_linalg_error_becomes_numeric_error(self, monkeypatch, threads):
+        def singular(x, k, seed, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(baselines, "cpd_decompose", singular)
+        x, _ = rank_one_target(seed=23)
+        with pytest.raises(errors.NumericError, match="seed 7"):
+            baselines.cpd_study(x, 1, seeds=[7], threads=threads)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):

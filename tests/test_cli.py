@@ -1,10 +1,14 @@
 import csv
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import volrank
 from volrank import cli, metrics, s3dsvd, volume_io
 
 
@@ -358,3 +362,20 @@ class TestErrorSurface:
     def test_unwritable_output_exits_5(self, blob_volume, tmp_path):
         assert run_cli("gen", "--kind", "blobs", "--dims", "4,4,4",
                        "--output", tmp_path / "no_such_dir" / "x.s3dv") == 5
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second of every CLI call and the
+        # package needs only one Student-t quantile, from scipy.special.
+        src = os.path.dirname(os.path.dirname(volrank.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, volrank.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -137,6 +137,9 @@ class TestModelRoundtrip:
         model = baselines.tucker_decompose(self._volume(), 5)
         data = volume_io.model_to_bytes(model)
         prefix = volume_io.model_from_bytes(data, level=2)
+        assert isinstance(prefix, baselines.TuckerModel)
+        assert prefix.rank == 2
+        assert prefix.fit_history == ()
         got = baselines.tucker_reconstruct(prefix)
         want = baselines.tucker_reconstruct(model, 2)
         assert np.max(np.abs(got - want)) < 1e-12
