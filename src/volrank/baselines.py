@@ -27,8 +27,17 @@ import scipy.special
 
 from . import metrics
 from .errors import DegenerateInputError, NumericError
-from .s3dsvd import _check_level, contract, decompose, expand
-from .tensor_core import as_tensor3, mode_product, svd, unfold
+from .s3dsvd import contract, decompose, expand
+from .tensor_core import (
+    _check_finite,
+    _check_level,
+    _rank_one_sum,
+    as_tensor3,
+    frobenius_norm,
+    mode_product,
+    svd,
+    unfold,
+)
 
 __all__ = [
     "CpModel",
@@ -87,6 +96,8 @@ class CpStudy:
     ``mean`` and ``ci_halfwidth`` map each of ``STUDY_METRIC_KEYS`` to the
     sample mean and the 95% Student-t confidence half-width (NaN when
     only one seed was run, 0.0 when all runs agree exactly).
+    ``unconverged`` holds, in run order, the seeds whose fit stopped at
+    ``max_iters`` without converging.
     """
 
     k: int
@@ -94,20 +105,7 @@ class CpStudy:
     runs: tuple
     mean: dict
     ci_halfwidth: dict
-
-
-def _check_rank(x, k):
-    k = int(k)
-    if not 1 <= k <= min(x.shape):
-        raise ValueError(
-            f"rank must satisfy 1 <= rank <= min(dims) = {min(x.shape)}, got {k}"
-        )
-    return k
-
-
-def _check_finite(x):
-    if not np.isfinite(x).all():
-        raise NumericError("input tensor contains non-finite entries")
+    unconverged: tuple
 
 
 def tucker_decompose(x, k, max_iters=50, tol=1e-6):
@@ -120,13 +118,12 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
     x = as_tensor3(x)
     hosvd = decompose(x, k)
     k = hosvd.r
-    normx = float(np.linalg.norm(x.ravel()))
+    normx = frobenius_norm(x)
 
     def relerr(core, factors):
         if normx == 0.0:
             return 0.0
-        resid = x - expand(core, factors, k)
-        return float(np.linalg.norm(resid.ravel())) / normx
+        return frobenius_norm(x - expand(core, factors, k)) / normx
 
     factors, core = list(hosvd.factors), hosvd.core
     history = [relerr(core, factors)]
@@ -174,14 +171,14 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     diagonal ridge and the fit continues with ``ridge_applied`` set.
     """
     x = as_tensor3(x)
-    k = _check_rank(x, k)
-    _check_finite(x)
+    k = _check_level(k, min(x.shape), "rank")
+    _check_finite(x, "input tensor")
     seed = int(seed)
     rng = np.random.default_rng(seed)
     factors = [rng.random((n, k)) for n in x.shape]
     weights = np.ones(k)
     unfoldings = [unfold(x, mode) for mode in (1, 2, 3)]
-    normx = float(np.linalg.norm(x.ravel()))
+    normx = frobenius_norm(x)
     ridge_applied = False
     prev_err = None
     iterations = 0
@@ -203,10 +200,8 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
         for f, n in zip(factors, norms):
             f /= np.where(n == 0.0, 1.0, n)
         iterations = sweep + 1
-        resid = x - np.einsum(
-            "r,ir,jr,kr->ijk", weights, *factors, optimize=True
-        )
-        err = float(np.linalg.norm(resid.ravel())) / (normx if normx else 1.0)
+        resid = x - _rank_one_sum(weights, *factors)
+        err = frobenius_norm(resid) / (normx if normx else 1.0)
         if prev_err is not None and abs(prev_err - err) < tol:
             converged = True
             break
@@ -225,9 +220,7 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
 
 def cpd_reconstruct(model):
     """Sum of the model's weighted rank-one terms."""
-    return np.einsum(
-        "r,ir,jr,kr->ijk", model.weights, *model.factors, optimize=True
-    )
+    return _rank_one_sum(model.weights, *model.factors)
 
 
 def _study_run(x, k, seed, max_iters, tol):
@@ -241,7 +234,7 @@ def _study_run(x, k, seed, max_iters, tol):
         )
     except (ArithmeticError, np.linalg.LinAlgError, DegenerateInputError) as exc:
         raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
-    return seed, report, elapsed
+    return (seed, report, elapsed), model.converged
 
 
 def _aggregate(values):
@@ -265,17 +258,19 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     timings.  A failing run aborts the study, naming its seed.
     """
     x = as_tensor3(x)
-    k = _check_rank(x, k)
+    k = _check_level(k, min(x.shape), "rank")
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seeds must be a non-empty sequence")
     if threads is not None and int(threads) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            runs = tuple(
+            results = tuple(
                 pool.map(lambda s: _study_run(x, k, s, max_iters, tol), seeds)
             )
     else:
-        runs = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)
+        results = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)
+    runs = tuple(run for run, _ in results)
+    unconverged = tuple(run[0] for run, converged in results if not converged)
     samples = {
         "psnr_db": [report.psnr_db for _, report, _ in runs],
         "mse": [report.mse for _, report, _ in runs],
@@ -286,4 +281,11 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     halfwidth = {}
     for key in STUDY_METRIC_KEYS:
         mean[key], halfwidth[key] = _aggregate(samples[key])
-    return CpStudy(k=k, seeds=seeds, runs=runs, mean=mean, ci_halfwidth=halfwidth)
+    return CpStudy(
+        k=k,
+        seeds=seeds,
+        runs=runs,
+        mean=mean,
+        ci_halfwidth=halfwidth,
+        unconverged=unconverged,
+    )

@@ -198,7 +198,11 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                     elapsed_seconds=study.mean["time_s"],
                 )
                 rows.append(_report_to_row(report, ci=study.ci_halfwidth))
-                say(f"sweep method=cpd k={k} done ({len(seeds)} seeds)")
+                stuck = study.unconverged
+                say(
+                    f"sweep method=cpd k={k} done ({len(seeds)} seeds,"
+                    f" {len(stuck)} unconverged: {list(stuck)})"
+                )
     return SweepResult(
         rows=tuple(rows),
         per_threshold=PER_THRESHOLD,

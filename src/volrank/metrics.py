@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
-from .tensor_core import as_tensor3, frobenius_norm
+from .errors import DegenerateInputError, NumericError
+from .tensor_core import _check_level, _check_pair, frobenius_norm
 
 __all__ = [
     "MetricsReport",
@@ -38,14 +38,6 @@ class MetricsReport:
     elapsed_seconds: Optional[float] = None
 
 
-def _check_pair(x, xhat):
-    x = as_tensor3(x)
-    xhat = as_tensor3(xhat)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    return x, xhat
-
-
 def mse(x, xhat):
     """Mean squared difference between ``x`` and ``xhat``."""
     x, xhat = _check_pair(x, xhat)
@@ -56,7 +48,8 @@ def psnr(x, xhat):
     """Peak signal-to-noise ratio in dB, with peak taken from ``x``.
 
     ``10 * log10(max(x)**2 / mse)``; an exact reconstruction yields
-    ``math.inf``.  A non-positive peak leaves the ratio meaningless.
+    ``math.inf``.  A non-positive peak leaves the ratio meaningless, and a
+    peak or mse that overflows float64 leaves it infinite, zero or NaN.
     """
     x, xhat = _check_pair(x, xhat)
     peak = float(np.max(x))
@@ -67,7 +60,10 @@ def psnr(x, xhat):
     err = mse(x, xhat)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / err)
+    ratio = peak * peak / err
+    if not 0.0 < ratio < math.inf:
+        raise NumericError(f"psnr is undefined for peak {peak} and mse {err}")
+    return 10.0 * math.log10(ratio)
 
 
 def rel_err(x, xhat):
@@ -107,9 +103,7 @@ def per(model, k):
     Coefficients are taken in index order with their signs squared away;
     ``per(model, model.r)`` is exactly 1.0.
     """
-    k = int(k)
-    if not 1 <= k <= model.r:
-        raise ValueError(f"k must satisfy 1 <= k <= {model.r}, got {k}")
+    k = _check_level(k, model.r)
     energy, total = _qsigma_cumulative(model)
     return float(energy[k - 1] / total)
 

@@ -18,8 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError
-from .tensor_core import as_tensor3, frobenius_norm, mode_product, svd, unfold
+from .errors import DegenerateInputError
+from .tensor_core import (
+    _check_finite,
+    _check_level,
+    _rank_one_sum,
+    as_tensor3,
+    frobenius_norm,
+    mode_product,
+    svd,
+    unfold,
+)
 
 __all__ = [
     "CoeffArray",
@@ -70,13 +79,6 @@ class CoeffArray:
     s: np.ndarray
 
 
-def _check_level(k, r, what="k"):
-    k = int(k)
-    if not 1 <= k <= r:
-        raise ValueError(f"{what} must satisfy 1 <= {what} <= {r}, got {k}")
-    return k
-
-
 def decompose(x, r):
     """Decompose ``x`` at rank ``r``.
 
@@ -88,13 +90,8 @@ def decompose(x, r):
         Retained rank per mode, ``1 <= r <= min(x.shape)``.
     """
     x = as_tensor3(x)
-    r = int(r)
-    if not 1 <= r <= min(x.shape):
-        raise ValueError(
-            f"r must satisfy 1 <= r <= min(dims) = {min(x.shape)}, got {r}"
-        )
-    if not np.isfinite(x).all():
-        raise NumericError("input tensor contains non-finite entries")
+    r = _check_level(r, min(x.shape), "r")
+    _check_finite(x, "input tensor")
     factors = tuple(svd(unfold(x, mode)).u[:, :r].copy() for mode in (1, 2, 3))
     core = contract(x, factors)
     qsigma = np.einsum("iii->i", core).copy()
@@ -129,15 +126,7 @@ def diagonal_expansion(model, k):
     approximation than :func:`reconstruct` at the same ``k``.
     """
     k = _check_level(k, model.r)
-    u1, u2, u3 = model.factors
-    return np.einsum(
-        "r,ir,jr,kr->ijk",
-        model.qsigma[:k],
-        u1[:, :k],
-        u2[:, :k],
-        u3[:, :k],
-        optimize=True,
-    )
+    return _rank_one_sum(model.qsigma[:k], *(u[:, :k] for u in model.factors))
 
 
 def epsilon_r(model, x, k):

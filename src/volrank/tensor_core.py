@@ -61,12 +61,31 @@ def _check_mode(mode):
         raise ValueError(f"mode must be 1, 2, or 3, got {mode!r}")
 
 
-def inner_product(a, b):
-    """Frobenius inner product of two tensors of identical shape."""
+def _check_level(v, n, what="k"):
+    v = int(v)
+    if not 1 <= v <= n:
+        raise ValueError(f"{what} must satisfy 1 <= {what} <= {n}, got {v}")
+    return v
+
+
+def _check_finite(a, what):
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = int(np.flatnonzero(~finite.ravel())[0])
+        raise NumericError(f"{what} contains a non-finite value at flat index {index}")
+
+
+def _check_pair(a, b):
     a = as_tensor3(a)
     b = as_tensor3(b)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def inner_product(a, b):
+    """Frobenius inner product of two tensors of identical shape."""
+    a, b = _check_pair(a, b)
     return float(np.dot(a.ravel(), b.ravel()))
 
 
@@ -84,6 +103,11 @@ def outer3(u, v, w):
         if vec.ndim != 1 or vec.size == 0:
             raise ShapeError(f"{name} must be a non-empty vector, got shape {vec.shape}")
     return np.einsum("i,j,k->ijk", u, v, w)
+
+
+def _rank_one_sum(weights, u1, u2, u3):
+    """Kruskal sum ``sum_r weights[r] * outer3(u1[:, r], u2[:, r], u3[:, r])``."""
+    return np.einsum("r,ir,jr,kr->ijk", weights, u1, u2, u3, optimize=True)
 
 
 def unfold(x, mode):
@@ -171,8 +195,7 @@ def svd(m):
         raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
     if min(m.shape) < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise NumericError("matrix contains non-finite entries")
+    _check_finite(m, "matrix")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:

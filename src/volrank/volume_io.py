@@ -23,9 +23,9 @@ import struct
 import numpy as np
 
 from .baselines import CpModel, TuckerModel
-from .errors import DegenerateInputError, NumericError, ParseError, ShapeError
-from .s3dsvd import S3dModel, _check_level, expand
-from .tensor_core import as_tensor3
+from .errors import DegenerateInputError, ParseError, ShapeError
+from .s3dsvd import S3dModel, expand
+from .tensor_core import _check_finite, _check_level, as_tensor3
 
 __all__ = [
     "gen_synthetic",
@@ -50,16 +50,10 @@ _METHOD_CODES = {"s3dsvd": 0, "tucker": 1, "cpd": 2}
 _METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
 
 
-def _check_payload_finite(x, what):
-    if not np.isfinite(x).all():
-        index = int(np.flatnonzero(~np.isfinite(x.ravel()))[0])
-        raise NumericError(f"{what} contains a non-finite value at flat index {index}")
-
-
 def volume_to_bytes(x, dtype="float64"):
     """Serialize a volume; ``dtype`` picks the payload precision."""
     x = as_tensor3(x)
-    _check_payload_finite(x, "volume")
+    _check_finite(x, "volume")
     if dtype not in _DTYPE_NAMES:
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     code = _DTYPE_NAMES[dtype]
@@ -67,32 +61,36 @@ def volume_to_bytes(x, dtype="float64"):
     return header + np.ascontiguousarray(x, dtype=_DTYPE_CODES[code]).tobytes(order="C")
 
 
-def volume_from_bytes(data):
-    """Parse a serialized volume back into a float64 tensor."""
-    if len(data) < 20:
+def _read_header(data, kind, magic, size, codes, code_name):
+    """Check an S3DV/S3DM header up to its code; return ``codes[code]``."""
+    if len(data) < size:
         raise ParseError(
-            f"volume header needs 20 bytes, found {len(data)}", offset=len(data)
+            f"{kind} header needs {size} bytes, found {len(data)}", offset=len(data)
         )
-    if data[:4] != VOLUME_MAGIC:
-        raise ParseError(f"bad volume magic {data[:4]!r}", offset=0)
+    if data[:4] != magic:
+        raise ParseError(f"bad {kind} magic {data[:4]!r}", offset=0)
     version, code = struct.unpack_from("<HH", data, 4)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}", offset=4)
-    if code not in _DTYPE_CODES:
-        raise ParseError(f"unknown dtype code {code}", offset=6)
+    if code not in codes:
+        raise ParseError(f"unknown {code_name} code {code}", offset=6)
+    return codes[code]
+
+
+def volume_from_bytes(data):
+    """Parse a serialized volume back into a float64 tensor."""
+    dtype = _read_header(data, "volume", VOLUME_MAGIC, 20, _DTYPE_CODES, "dtype")
     dims = struct.unpack_from("<III", data, 8)
     if min(dims) < 1:
         raise ParseError(f"dimensions must be positive, got {dims}", offset=8)
-    dtype = _DTYPE_CODES[code]
     expected = 20 + dims[0] * dims[1] * dims[2] * dtype.itemsize
     if len(data) != expected:
         raise ParseError(
             f"payload size mismatch: expected {expected} bytes, found {len(data)}",
             offset=min(len(data), expected),
         )
-    flat = np.frombuffer(data, dtype=dtype, count=dims[0] * dims[1] * dims[2], offset=20)
-    x = flat.astype(np.float64).reshape(dims)
-    _check_payload_finite(x, "volume payload")
+    x = np.frombuffer(data, dtype=dtype, offset=20).astype(np.float64).reshape(dims)
+    _check_finite(x, "volume payload")
     return x
 
 
@@ -113,34 +111,31 @@ def _factor_bytes(factors):
 def model_to_bytes(model):
     """Serialize a decomposition model; the method is inferred from its type."""
     if isinstance(model, S3dModel):
-        method, rank = "s3dsvd", model.r
-        payload = (
-            np.ascontiguousarray(model.core, dtype="<f8").tobytes(order="C")
-            + np.asarray(model.qsigma, dtype="<f8").tobytes()
-        )
+        method, rank, blocks = "s3dsvd", model.r, (model.core, model.qsigma)
     elif isinstance(model, TuckerModel):
-        method, rank = "tucker", model.rank
-        payload = np.ascontiguousarray(model.core, dtype="<f8").tobytes(order="C")
+        method, rank, blocks = "tucker", model.rank, (model.core,)
     elif isinstance(model, CpModel):
-        method, rank = "cpd", model.rank
-        payload = np.asarray(model.weights, dtype="<f8").tobytes() + struct.pack(
-            "<Q", model.seed
-        )
+        method, rank, blocks = "cpd", model.rank, (model.weights,)
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     header = MODEL_MAGIC + struct.pack(
         "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *model.dims, rank
     )
-    return header + _factor_bytes(model.factors) + payload
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in blocks)
+    seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
+    return header + _factor_bytes(model.factors) + payload + seed
 
 
-def _take_floats(data, pos, count, what):
+def _take_floats(data, pos, count, what, blocks):
+    """Read ``count`` float64s at ``pos``, appending ``(what, flat)`` to ``blocks``."""
     end = pos + 8 * count
     if end > len(data):
         raise ParseError(
             f"truncated {what}: expected {8 * count} bytes", offset=len(data)
         )
-    return np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy(), end
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+    blocks.append((what, flat))
+    return flat, end
 
 
 def model_from_bytes(data, level=None):
@@ -148,43 +143,35 @@ def model_from_bytes(data, level=None):
 
     A level-``j`` read keeps the leading ``j`` factor columns per mode and
     the leading ``j^3`` core block (s3dsvd and tucker only); it
-    reconstructs identically to truncating the fully parsed model.
+    reconstructs identically to truncating the fully parsed model.  Every
+    float block of the file is checked for non-finite values after its
+    structure and ``level`` have been accepted, so a malformed file is a
+    :class:`ParseError` whatever values it holds.
     """
-    if len(data) < 24:
-        raise ParseError(
-            f"model header needs 24 bytes, found {len(data)}", offset=len(data)
-        )
-    if data[:4] != MODEL_MAGIC:
-        raise ParseError(f"bad model magic {data[:4]!r}", offset=0)
-    version, code = struct.unpack_from("<HH", data, 4)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}", offset=4)
-    if code not in _METHOD_NAMES:
-        raise ParseError(f"unknown method code {code}", offset=6)
-    method = _METHOD_NAMES[code]
+    method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
     *dims, rank = struct.unpack_from("<IIII", data, 8)
     dims = tuple(dims)
     if min(dims) < 1 or not 1 <= rank <= min(dims):
         raise ParseError(f"invalid dims {dims} / rank {rank}", offset=8)
     pos = 24
+    blocks = []
     factors = []
-    for n in dims:
-        flat, pos = _take_floats(data, pos, n * rank, "factor matrix")
+    for mode, n in enumerate(dims, start=1):
+        flat, pos = _take_floats(data, pos, n * rank, f"factor matrix u{mode}", blocks)
         factors.append(flat.reshape((n, rank), order="F"))
     factors = tuple(factors)
-    if method == "s3dsvd":
-        core_flat, pos = _take_floats(data, pos, rank**3, "core tensor")
-        qsigma, pos = _take_floats(data, pos, rank, "qsigma")
+    if method != "cpd":
+        core_flat, pos = _take_floats(data, pos, rank**3, "core tensor", blocks)
         core = core_flat.reshape((rank, rank, rank))
+    if method == "s3dsvd":
+        qsigma, pos = _take_floats(data, pos, rank, "qsigma", blocks)
         model = S3dModel(dims=dims, r=rank, factors=factors, core=core, qsigma=qsigma)
     elif method == "tucker":
-        core_flat, pos = _take_floats(data, pos, rank**3, "core tensor")
-        core = core_flat.reshape((rank, rank, rank))
         model = TuckerModel(
             dims=dims, rank=rank, factors=factors, core=core, fit_history=()
         )
     else:
-        weights, pos = _take_floats(data, pos, rank, "weights")
+        weights, pos = _take_floats(data, pos, rank, "weights", blocks)
         if pos + 8 > len(data):
             raise ParseError("truncated seed: expected 8 bytes", offset=len(data))
         (seed,) = struct.unpack_from("<Q", data, pos)
@@ -201,9 +188,11 @@ def model_from_bytes(data, level=None):
         )
     if pos != len(data):
         raise ParseError(f"trailing bytes after model payload", offset=pos)
-    if level is None:
-        return model
-    return _truncate_model(model, int(level))
+    if level is not None:
+        model = _truncate_model(model, int(level))
+    for what, flat in blocks:
+        _check_finite(flat, what)
+    return model
 
 
 def _truncate_model(model, level):
@@ -263,11 +252,7 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
         raise ShapeError(f"dims must be three positive integers, got {dims}")
     rng = np.random.default_rng(int(seed))
     if kind == "multirank":
-        rho = int(rho)
-        if not 1 <= rho <= min(dims):
-            raise ValueError(
-                f"rho must satisfy 1 <= rho <= min(dims) = {min(dims)}, got {rho}"
-            )
+        rho = _check_level(rho, min(dims), "rho")
         factors = [np.linalg.qr(rng.standard_normal((n, rho)))[0] for n in dims]
         return expand(rng.standard_normal((rho, rho, rho)), factors, rho)
     if kind in ("blobs", "blobs_noisy"):

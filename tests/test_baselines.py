@@ -292,6 +292,15 @@ class TestCpdStudy:
             assert serial.ci_halfwidth[key] == threaded.ci_halfwidth[key]
 
     @pytest.mark.parametrize("threads", [None, 2])
+    def test_unconverged_seeds_listed_in_run_order(self, threads):
+        x, _ = rank_one_target(seed=21)
+        cut = baselines.cpd_study(x, 1, seeds=[3, 1, 2], max_iters=1, threads=threads)
+        assert cut.unconverged == (3, 1, 2)
+        assert all(len(run) == 3 for run in cut.runs)
+        full = baselines.cpd_study(x, 1, seeds=[3, 1, 2], threads=threads)
+        assert full.unconverged == ()
+
+    @pytest.mark.parametrize("threads", [None, 2])
     def test_programming_error_propagates(self, monkeypatch, threads):
         def broken(*args, **kwargs):
             raise TypeError("broken fit")

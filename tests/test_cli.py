@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import volrank
-from volrank import cli, metrics, s3dsvd, volume_io
+from volrank import baselines, cli, metrics, s3dsvd, volume_io
 
 
 def run_cli(*args):
@@ -298,6 +298,30 @@ class TestSweep:
         assert run_cli("sweep", "--input", blob_volume, "--method", "hosvd",
                        "--ks", "2", "--csv", tmp_path / "s.csv") == 2
 
+    def test_unconverged_cpd_seeds_reported_on_stderr(self, blob_volume, tmp_path,
+                                                       monkeypatch, capsys):
+        # Seed 1's fit is cut to one sweep, which can never converge.
+        fit = baselines.cpd_decompose
+
+        def cut_short(x, k, seed, **kwargs):
+            if seed == 1:
+                kwargs["max_iters"] = 1
+            return fit(x, k, seed, **kwargs)
+
+        monkeypatch.setattr(baselines, "cpd_decompose", cut_short)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--input", blob_volume, "--method", "cpd",
+                       "--ks", "1,2", "--seeds", "0,1", "--csv", out,
+                       "--no-timing") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "sweep method=cpd k=1 done (2 seeds, 1 unconverged: [1])",
+            "sweep method=cpd k=2 done (2 seeds, 1 unconverged: [1])",
+        ]
+        assert out.read_text().splitlines()[0] == (
+            "method,k,psnr_db,mse,rel_err,per,psnr_ci,mse_ci,relerr_ci"
+        )
+
 
 class TestPlotdata:
     def _sweep(self, volume, tmp_path, ks="2,4"):
@@ -362,6 +386,35 @@ class TestErrorSurface:
     def test_unwritable_output_exits_5(self, blob_volume, tmp_path):
         assert run_cli("gen", "--kind", "blobs", "--dims", "4,4,4",
                        "--output", tmp_path / "no_such_dir" / "x.s3dv") == 5
+
+
+class TestNonFiniteModel:
+    @pytest.fixture()
+    def nan_core_model(self, blob_volume, tmp_path):
+        model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
+        data = bytearray(volume_io.model_to_bytes(model))
+        core_offset = 24 + 8 * model.r * sum(model.dims)
+        struct.pack_into("<d", data, core_offset, math.nan)
+        path = tmp_path / "nan.s3dm"
+        path.write_bytes(bytes(data))
+        return path
+
+    def _assert_one_numeric_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err == (
+            "volrank: error: NumericError: core tensor contains a non-finite"
+            " value at flat index 0\n"
+        )
+
+    def test_metrics_exits_4(self, blob_volume, nan_core_model, tmp_path, capsys):
+        assert run_cli("metrics", "--input", blob_volume, "--model", nan_core_model,
+                       "--k", "4", "--csv", tmp_path / "m.csv") == 4
+        self._assert_one_numeric_line(capsys)
+
+    def test_reconstruct_exits_4(self, nan_core_model, tmp_path, capsys):
+        assert run_cli("reconstruct", "--input", nan_core_model, "--k", "2",
+                       "--output", tmp_path / "r.s3dv") == 4
+        self._assert_one_numeric_line(capsys)
 
 
 class TestImportCost:

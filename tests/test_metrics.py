@@ -67,6 +67,25 @@ class TestPsnr:
         with pytest.raises(errors.DegenerateInputError):
             metrics.psnr(-np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
+    def test_overflowed_mse_is_a_numeric_error(self):
+        # A finite reconstruction whose squared error overflows float64, and
+        # reconstructions that overflowed to inf or NaN on the way.
+        x = np.ones((2, 2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for value in (1e200, math.inf, math.nan):
+                with pytest.raises(errors.NumericError, match="psnr is undefined"):
+                    metrics.psnr(x, np.full((2, 2, 2), value))
+
+    def test_overflowed_peak_is_a_numeric_error_not_exact(self):
+        # peak**2 overflows: the ratio would be inf, which reads as exact.
+        x = np.ones((2, 2, 2))
+        x[0, 0, 0] = 1e200
+        xhat = x.copy()
+        xhat[1, 1, 1] = 0.5
+        with np.errstate(over="ignore"):
+            with pytest.raises(errors.NumericError, match="psnr is undefined"):
+                metrics.psnr(x, xhat)
+
     def test_strictly_decreasing_in_mse(self):
         x = np.ones((4, 4, 4))
         values = [metrics.psnr(x, x - delta) for delta in (1e-4, 1e-3, 1e-2, 1e-1)]

@@ -242,3 +242,28 @@ class TestValidation:
         x = tc.as_tensor3(np.ones((2, 2, 2), dtype=np.float32))
         assert x.dtype == np.float64
         assert x.flags["C_CONTIGUOUS"]
+
+
+class TestSharedChecks:
+    def test_check_level_bounds(self):
+        assert tc._check_level(1, 4) == 1
+        assert tc._check_level(np.int64(4), 4, "rank") == 4
+        for bad in (0, 5):
+            with pytest.raises(ValueError, match=rf"rank must satisfy 1 <= rank <= 4, got {bad}"):
+                tc._check_level(bad, 4, "rank")
+
+    def test_check_finite_reports_first_c_order_index(self):
+        a = np.zeros((3, 4), order="F")
+        a[2, 1] = np.inf
+        a[1, 3] = np.nan
+        tc._check_finite(np.zeros((2, 2)), "clean")
+        with pytest.raises(errors.NumericError, match="grid contains a non-finite value at flat index 7"):
+            tc._check_finite(a, "grid")
+
+    def test_rank_one_sum_matches_outer3_loop(self):
+        weights = RNG.standard_normal(3)
+        u1, u2, u3 = (RNG.standard_normal((n, 3)) for n in (4, 5, 6))
+        want = sum(
+            weights[r] * outer3_loop(u1[:, r], u2[:, r], u3[:, r]) for r in range(3)
+        )
+        assert np.allclose(tc._rank_one_sum(weights, u1, u2, u3), want, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -228,3 +229,78 @@ class TestGenSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             volume_io.gen_synthetic("cubes", (4, 4, 4), seed=0)
+
+
+def _block_offsets(model):
+    """Byte offset and float count of each named float block of a model file."""
+    rank = model.r if isinstance(model, s3dsvd.S3dModel) else model.rank
+    blocks = [(f"factor matrix u{m}", n * rank) for m, n in enumerate(model.dims, 1)]
+    if isinstance(model, baselines.CpModel):
+        blocks.append(("weights", rank))
+    else:
+        blocks.append(("core tensor", rank**3))
+        if isinstance(model, s3dsvd.S3dModel):
+            blocks.append(("qsigma", rank))
+    offsets, pos = {}, 24
+    for what, count in blocks:
+        offsets[what] = (pos, count)
+        pos += 8 * count
+    return offsets
+
+
+def _fitted(method):
+    x = volume_io.gen_synthetic("blobs", (5, 6, 7), seed=3, blobs=3)
+    if method == "s3dsvd":
+        return s3dsvd.decompose(x, 3)
+    if method == "tucker":
+        return baselines.tucker_decompose(x, 3)
+    return baselines.cpd_decompose(x, 3, seed=1, max_iters=5)
+
+
+PAYLOAD_BLOCKS = [
+    (method, what)
+    for method, names in (
+        ("s3dsvd", ("core tensor", "qsigma")),
+        ("tucker", ("core tensor",)),
+        ("cpd", ("weights",)),
+    )
+    for what in ("factor matrix u1", "factor matrix u2", "factor matrix u3") + names
+]
+
+
+class TestModelPayloadFinite:
+    @pytest.mark.parametrize("method,what", PAYLOAD_BLOCKS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_names_block_and_index(self, method, what, value):
+        model = _fitted(method)
+        data = bytearray(volume_io.model_to_bytes(model))
+        pos, count = _block_offsets(model)[what]
+        index = count - 1
+        struct.pack_into("<d", data, pos + 8 * index, value)
+        with pytest.raises(errors.NumericError) as exc:
+            volume_io.model_from_bytes(bytes(data))
+        assert str(exc.value) == (
+            f"{what} contains a non-finite value at flat index {index}"
+        )
+
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker", "cpd"])
+    def test_structure_is_judged_before_values(self, method):
+        # A malformed file stays a ParseError, and a bad level a ValueError,
+        # whatever values the file holds.
+        model = _fitted(method)
+        data = bytearray(volume_io.model_to_bytes(model))
+        struct.pack_into("<d", data, 24, math.nan)
+        for broken in (bytes(data[:-4]), bytes(data) + b"\x00"):
+            with pytest.raises(errors.ParseError):
+                volume_io.model_from_bytes(broken)
+        with pytest.raises(ValueError) as exc:
+            volume_io.model_from_bytes(bytes(data), level=9)
+        assert not isinstance(exc.value, errors.NumericError)
+
+    def test_level_read_checks_the_whole_file(self):
+        model = _fitted("s3dsvd")
+        data = bytearray(volume_io.model_to_bytes(model))
+        pos, count = _block_offsets(model)["core tensor"]
+        struct.pack_into("<d", data, pos + 8 * (count - 1), math.nan)
+        with pytest.raises(errors.NumericError, match="core tensor"):
+            volume_io.model_from_bytes(bytes(data), level=1)
