@@ -8,7 +8,10 @@ Two baselines are provided for comparison against the structured 3D SVD:
   share the s3dsvd contraction, expansion and level check.
 * CPD via ALS (alternating least squares) with seeded random
   initialization, per-sweep column normalization into non-negative
-  weights, and a ridge fallback when the normal equations go singular.
+  weights, and a ridge fallback when the normal equations are not
+  numerically positive definite.  Each sweep runs on numpy's BLAS and
+  LAPACK alone and takes its stopping error from the Gram identity, so
+  it never builds the full reconstruction.
 
 ``cpd_study`` runs the ALS fit once per seed and aggregates each metric
 into a mean and a Student-t 95% confidence half-width, optionally
@@ -17,12 +20,12 @@ produce identical numbers.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import contextvars
 from dataclasses import dataclass
 import math
 import time
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from . import metrics
@@ -159,6 +162,20 @@ def _khatri_rao(hi, lo):
     return (hi[:, None, :] * lo[None, :, :]).reshape(-1, r)
 
 
+def _fit_error(normx, inner, weights, factors):
+    """Relative error ``||x - xhat|| / ||x||`` without forming ``xhat``.
+
+    ``xhat`` is the Kruskal sum of ``weights`` and ``factors`` and
+    ``inner`` is ``<x, xhat>``.  The Gram identity
+    ``||x - xhat||^2 = ||x||^2 - 2 <x, xhat> + w^T (G1 * G2 * G3) w``, with
+    ``Gm`` the factor Gram matrices, can cancel to a tiny negative value
+    for an exact fit, so the square is clamped at 0.
+    """
+    g1, g2, g3 = (f.T @ f for f in factors)
+    sq = normx * normx - 2.0 * inner + weights @ (g1 * g2 * g3) @ weights
+    return math.sqrt(max(sq, 0.0)) / (normx if normx else 1.0)
+
+
 def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     """Fit a rank-``k`` CPD to ``x`` with seeded ALS.
 
@@ -167,8 +184,17 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     normal-equation least-squares problems, then renormalizes factor
     columns into non-negative ``weights``.  Iteration stops when the
     change in relative error between sweeps falls below ``tol`` or after
-    ``max_iters`` sweeps.  Singular normal equations get a ``1e-12``
-    diagonal ridge and the fit continues with ``ridge_applied`` set.
+    ``max_iters`` sweeps; the error comes from :func:`_fit_error`.  A
+    normal-equation matrix whose Cholesky factorization fails gets a
+    ``1e-12`` diagonal ridge and the fit continues with ``ridge_applied``
+    set.
+
+    Raises
+    ------
+    NumericError
+        If a Gram matrix, an MTTKRP (unfolding times Khatri-Rao product),
+        an updated factor or the weights are not finite, as when ``x`` is
+        so large that the normal equations overflow float64.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
@@ -188,20 +214,26 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
             lo, hi = [factors[m] for m in range(3) if m != mode]
             gram = (hi.T @ hi) * (lo.T @ lo)
             rhs = unfoldings[mode] @ _khatri_rao(hi, lo)
+            _check_finite(gram, f"ALS mode-{mode + 1} Gram matrix")
+            _check_finite(rhs, f"ALS mode-{mode + 1} MTTKRP")
+            # Cholesky is only the positive-definiteness test here.
             try:
-                cho = scipy.linalg.cho_factor(gram)
-            except scipy.linalg.LinAlgError:
+                np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
                 gram = gram + 1e-12 * np.eye(k)
                 ridge_applied = True
-                cho = scipy.linalg.cho_factor(gram)
-            factors[mode] = scipy.linalg.cho_solve(cho, rhs.T).T
+                np.linalg.cholesky(gram)
+            factors[mode] = np.linalg.solve(gram, rhs.T).T
+            _check_finite(factors[mode], f"ALS mode-{mode + 1} factor")
+        # <x, xhat> from the last mode's MTTKRP, before normalization.
+        inner = float(np.sum(factors[2] * rhs))
         norms = [np.linalg.norm(f, axis=0) for f in factors]
         weights = norms[0] * norms[1] * norms[2]
+        _check_finite(weights, "ALS weights")
         for f, n in zip(factors, norms):
             f /= np.where(n == 0.0, 1.0, n)
         iterations = sweep + 1
-        resid = x - _rank_one_sum(weights, *factors)
-        err = frobenius_norm(resid) / (normx if normx else 1.0)
+        err = _fit_error(normx, inner, weights, factors)
         if prev_err is not None and abs(prev_err - err) < tol:
             converged = True
             break
@@ -263,9 +295,16 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     if not seeds:
         raise ValueError("seeds must be a non-empty sequence")
     if threads is not None and int(threads) > 1:
+        # Each run gets its own copy of the caller's context, so numpy's
+        # error state (np.errstate) holds in the workers as it does serially.
+        contexts = [contextvars.copy_context() for _ in seeds]
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             results = tuple(
-                pool.map(lambda s: _study_run(x, k, s, max_iters, tol), seeds)
+                pool.map(
+                    lambda ctx, s: ctx.run(_study_run, x, k, s, max_iters, tol),
+                    contexts,
+                    seeds,
+                )
             )
     else:
         results = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)

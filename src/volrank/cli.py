@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import baselines, metrics, s3dsvd, volume_io
 from .baselines import CpModel, TuckerModel
 from .errors import DegenerateInputError, NumericError, ParseError
@@ -460,7 +462,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # numpy's overflow and invalid-value warnings would print ahead of
+        # the one error line; the explicit finiteness checks report them.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParseError as exc:
         return _fail(EXIT_PARSE, exc)
     except (NumericError, DegenerateInputError) as exc:

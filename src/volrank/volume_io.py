@@ -95,8 +95,9 @@ def volume_from_bytes(data):
 
 
 def write_volume(path, x, dtype="float64"):
+    data = volume_to_bytes(x, dtype=dtype)
     with open(path, "wb") as fh:
-        fh.write(volume_to_bytes(x, dtype=dtype))
+        fh.write(data)
 
 
 def read_volume(path):
@@ -104,26 +105,33 @@ def read_volume(path):
         return volume_from_bytes(fh.read())
 
 
-def _factor_bytes(factors):
-    return b"".join(np.asarray(u, dtype="<f8").tobytes(order="F") for u in factors)
-
-
 def model_to_bytes(model):
-    """Serialize a decomposition model; the method is inferred from its type."""
+    """Serialize a decomposition model; the method is inferred from its type.
+
+    Raises :class:`NumericError` if a float block holds a NaN or inf,
+    naming the block and flat index as :func:`model_from_bytes` would.
+    """
     if isinstance(model, S3dModel):
-        method, rank, blocks = "s3dsvd", model.r, (model.core, model.qsigma)
+        method, rank = "s3dsvd", model.r
+        blocks = [("core tensor", model.core), ("qsigma", model.qsigma)]
     elif isinstance(model, TuckerModel):
-        method, rank, blocks = "tucker", model.rank, (model.core,)
+        method, rank, blocks = "tucker", model.rank, [("core tensor", model.core)]
     elif isinstance(model, CpModel):
-        method, rank, blocks = "cpd", model.rank, (model.weights,)
+        method, rank, blocks = "cpd", model.rank, [("weights", model.weights)]
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     header = MODEL_MAGIC + struct.pack(
         "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *model.dims, rank
     )
-    payload = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in blocks)
+    # Factors are written column-major, the other blocks in C order.
+    flats = [
+        (f"factor matrix u{mode}", np.asarray(u, dtype="<f8").ravel(order="F"))
+        for mode, u in enumerate(model.factors, start=1)
+    ] + [(what, np.asarray(a, dtype="<f8").ravel()) for what, a in blocks]
+    for what, flat in flats:
+        _check_finite(flat, what)
     seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
-    return header + _factor_bytes(model.factors) + payload + seed
+    return header + b"".join(flat.tobytes() for _, flat in flats) + seed
 
 
 def _take_floats(data, pos, count, what, blocks):
@@ -212,8 +220,9 @@ def _truncate_model(model, level):
 
 
 def write_model(path, model):
+    data = model_to_bytes(model)
     with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model))
+        fh.write(data)
 
 
 def read_model(path, level=None):

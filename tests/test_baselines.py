@@ -201,6 +201,73 @@ class TestCpdDecompose:
         with pytest.raises(ValueError):
             baselines.cpd_decompose(np.ones((3, 4, 5)), 4, seed=0)
 
+    def test_ridge_fallback_on_zero_volume(self):
+        # The first mode's update is zero, so the next normal equations are
+        # exactly singular and only the ridge lets the fit go on.
+        model = baselines.cpd_decompose(np.zeros((4, 5, 6)), 2, 0)
+        assert model.ridge_applied
+        assert model.converged
+        assert np.array_equal(model.weights, np.zeros(2))
+        for f in model.factors:
+            assert np.all(np.isfinite(f))
+
+    def test_overflowing_normal_equations_raise_numeric_error(self):
+        # A finite volume whose normal equations overflow float64 must not
+        # "converge" to NaN factors.
+        x = np.random.default_rng(24).random((5, 6, 7)) * 1e160
+        with np.errstate(all="ignore"), pytest.raises(
+            errors.NumericError, match="ALS mode-2 Gram matrix"
+        ):
+            baselines.cpd_decompose(x, 2, 0)
+
+
+class TestFitError:
+    def _direct(self, x, weights, factors):
+        xhat = tc._rank_one_sum(weights, *factors)
+        return tc.frobenius_norm(x - xhat) / tc.frobenius_norm(x), xhat
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_direct_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.random((6, 7, 8))
+        random_model = (rng.random(3), [rng.standard_normal((n, 3)) for n in x.shape])
+        fitted = baselines.cpd_decompose(x, 3, seed=seed, max_iters=20)
+        for weights, factors in (random_model, (fitted.weights, fitted.factors)):
+            want, xhat = self._direct(x, weights, factors)
+            got = baselines._fit_error(
+                tc.frobenius_norm(x), tc.inner_product(x, xhat), weights, factors
+            )
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_sweep_passes_the_fit_inner_product(self, monkeypatch):
+        # The sweep takes <x, xhat> from its last MTTKRP; pin it, and the
+        # stopping error it gives, to the directly computed values.
+        x = np.random.default_rng(26).random((6, 7, 8))
+        fit_error, seen = baselines._fit_error, []
+
+        def checked(normx, inner, weights, factors):
+            err = fit_error(normx, inner, weights, factors)
+            want, xhat = self._direct(x, weights, factors)
+            seen.append((inner, tc.inner_product(x, xhat), err, want))
+            return err
+
+        monkeypatch.setattr(baselines, "_fit_error", checked)
+        baselines.cpd_decompose(x, 3, seed=0, max_iters=10, tol=0.0)
+        assert len(seen) == 10
+        for inner, want_inner, err, want in seen:
+            assert inner == pytest.approx(want_inner, rel=1e-10)
+            assert err == pytest.approx(want, rel=1e-10)
+
+    def test_exact_fit_is_zero_not_nan(self):
+        rng = np.random.default_rng(25)
+        factors = [rng.standard_normal((n, 3)) for n in (4, 5, 6)]
+        weights = rng.random(3) + 0.5
+        x = tc._rank_one_sum(weights, *factors)
+        normx, inner = tc.frobenius_norm(x), tc.inner_product(x, x)
+        assert baselines._fit_error(normx, inner, weights, factors) < 1e-7
+        # An inner product a rounding error too large cancels below zero.
+        assert baselines._fit_error(normx, inner * (1 + 1e-12), weights, factors) == 0.0
+
 
 class TestCpdReconstruct:
     def test_single_term_peak(self):

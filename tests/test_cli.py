@@ -417,18 +417,75 @@ class TestNonFiniteModel:
         self._assert_one_numeric_line(capsys)
 
 
+def _huge_volume(tmp_path):
+    """A finite volume whose CPD normal equations overflow float64."""
+    path = tmp_path / "huge.s3dv"
+    volume_io.write_volume(path, np.random.default_rng(0).random((5, 6, 7)) * 1e160)
+    return path
+
+
+def _subprocess_env(**extra):
+    """The environment with this checkout's ``volrank`` first on the path."""
+    src = os.path.dirname(os.path.dirname(volrank.__file__))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cli_subprocess(args, threads="1"):
+    # numpy's warnings reach a real stderr, which capsys does not show.
+    return subprocess.run(
+        [sys.executable, "-m", "volrank.cli", *map(str, args)],
+        env=_subprocess_env(VOLRANK_THREADS=threads),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestOverflow:
+    def test_cpd_overflow_exits_4_and_writes_no_model(self, tmp_path, capsys):
+        out = tmp_path / "m.s3dm"
+        assert run_cli("decompose", "--input", _huge_volume(tmp_path), "--method", "cpd",
+                       "--rank", "2", "--output", out) == 4
+        assert capsys.readouterr().err == (
+            "volrank: error: NumericError: ALS mode-2 Gram matrix contains a"
+            " non-finite value at flat index 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,threads",
+        [("decompose", "1"), ("sweep", "2"), ("metrics", "1")],
+    )
+    def test_one_stderr_line(self, blob_volume, tmp_path, command, threads):
+        if command == "decompose":
+            args = ["decompose", "--input", _huge_volume(tmp_path), "--method", "cpd",
+                    "--rank", "2", "--output", tmp_path / "m.s3dm"]
+        elif command == "sweep":
+            args = ["sweep", "--input", _huge_volume(tmp_path), "--method", "cpd",
+                    "--ks", "1,2", "--seeds", "0,1", "--csv", tmp_path / "s.csv"]
+        else:
+            # One flipped exponent byte makes the leading core entry about
+            # 1e304, so the squared error overflows.
+            model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
+            data = bytearray(volume_io.model_to_bytes(model))
+            data[24 + 8 * model.r * sum(model.dims) + 7] ^= 0x3F
+            path = tmp_path / "flipped.s3dm"
+            path.write_bytes(bytes(data))
+            args = ["metrics", "--input", blob_volume, "--model", path, "--k", "4"]
+        done = _cli_subprocess(args, threads)
+        assert done.returncode == 4
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("volrank: error: NumericError: ")
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about half a second of every CLI call and the
         # package needs only one Student-t quantile, from scipy.special.
-        src = os.path.dirname(os.path.dirname(volrank.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         code = "import sys, volrank.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
             text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -304,3 +305,40 @@ class TestModelPayloadFinite:
         struct.pack_into("<d", data, pos + 8 * (count - 1), math.nan)
         with pytest.raises(errors.NumericError, match="core tensor"):
             volume_io.model_from_bytes(bytes(data), level=1)
+
+
+def _planted(model, what, index):
+    """A copy of ``model`` with entry ``index`` of block ``what``, in file order, set to inf."""
+    if what.startswith("factor matrix u"):
+        factors = [u.copy() for u in model.factors]
+        u = factors[int(what[-1]) - 1]
+        u[np.unravel_index(index, u.shape, order="F")] = math.inf
+        return dataclasses.replace(model, factors=tuple(factors))
+    name = {"core tensor": "core"}.get(what, what)
+    block = getattr(model, name).copy()
+    block[np.unravel_index(index, block.shape)] = math.inf
+    return dataclasses.replace(model, **{name: block})
+
+
+class TestWritersRejectNonFinite:
+    @pytest.mark.parametrize("method,what", PAYLOAD_BLOCKS)
+    def test_model_writer_reports_as_the_reader_does(self, method, what):
+        model = _fitted(method)
+        data = bytearray(volume_io.model_to_bytes(model))
+        pos, count = _block_offsets(model)[what]
+        struct.pack_into("<d", data, pos + 8 * (count - 1), math.inf)
+        with pytest.raises(errors.NumericError) as read:
+            volume_io.model_from_bytes(bytes(data))
+        with pytest.raises(errors.NumericError) as written:
+            volume_io.model_to_bytes(_planted(model, what, count - 1))
+        assert str(written.value) == str(read.value)
+
+    def test_failed_writes_leave_no_file(self, tmp_path):
+        model = _planted(_fitted("s3dsvd"), "core tensor", 0)
+        with pytest.raises(errors.NumericError):
+            volume_io.write_model(tmp_path / "m.s3dm", model)
+        with pytest.raises(errors.NumericError):
+            volume_io.write_volume(tmp_path / "v.s3dv", np.full((2, 2, 2), math.inf))
+        with pytest.raises(ValueError):
+            volume_io.write_volume(tmp_path / "w.s3dv", np.zeros((2, 2, 2)), "int8")
+        assert list(tmp_path.iterdir()) == []
