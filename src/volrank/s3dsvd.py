@@ -1,11 +1,13 @@
 """Structured 3D SVD: orthogonal per-mode factors, a dense core, and a
 signed quasi-singular coefficient sequence for progressive reconstruction.
 
-The decomposition computes a thin SVD of each unfolding, keeps the ``r``
-leading left singular vectors per mode, contracts the input against them
-to obtain an ``r x r x r`` core ``g``, and reads the signed core diagonal
-``qsigma[i] = g[i, i, i]`` in index order (no re-sorting; magnitudes are
-usually but not always non-increasing, see :func:`ordering_report`).
+The decomposition keeps the ``r`` leading left singular vectors of each
+unfolding, taken from the SVD of the small triangular factor of a QR of
+the unfolding's transpose (:func:`volrank.tensor_core.mode_factor`),
+contracts the input against them to obtain an ``r x r x r`` core ``g``,
+and reads the signed core diagonal ``qsigma[i] = g[i, i, i]`` in index
+order (no re-sorting; magnitudes are usually but not always
+non-increasing, see :func:`ordering_report`).
 
 Truncated reconstruction at level ``k`` uses the leading ``k`` columns of
 each factor and the leading ``k x k x k`` core block; the diagonal
@@ -25,9 +27,8 @@ from .tensor_core import (
     _rank_one_sum,
     as_tensor3,
     frobenius_norm,
+    mode_factor,
     mode_product,
-    svd,
-    unfold,
 )
 
 __all__ = [
@@ -92,17 +93,24 @@ def decompose(x, r):
     x = as_tensor3(x)
     r = _check_level(r, min(x.shape), "r")
     _check_finite(x, "input tensor")
-    factors = tuple(svd(unfold(x, mode)).u[:, :r].copy() for mode in (1, 2, 3))
+    factors = tuple(mode_factor(x, mode, r) for mode in (1, 2, 3))
     core = contract(x, factors)
     qsigma = np.einsum("iii->i", core).copy()
     return S3dModel(dims=x.shape, r=r, factors=factors, core=core, qsigma=qsigma)
 
 
 def contract(x, factors):
-    """Core of ``x`` against orthonormal ``factors``: ``x`` times each ``u_m^T``."""
+    """Core of ``x`` against orthonormal ``factors``: ``x`` times each ``u_m^T``.
+
+    Raises
+    ------
+    NumericError
+        If the contraction overflows, which a finite but huge ``x`` can do.
+    """
     core = x
     for mode, u in enumerate(factors, start=1):
         core = mode_product(core, u.T, mode)
+    _check_finite(core, "core")
     return core
 
 
@@ -132,17 +140,17 @@ def diagonal_expansion(model, k):
 def epsilon_r(model, x, k):
     """Relative energy shortfall of the ``k``-term diagonal expansion.
 
-    Returns ``sqrt(max(0, 1 - sum(qsigma[:k]**2) / ||x||**2))``; because
-    the expansion is an orthogonal projection this equals its relative
-    error up to floating-point noise.
+    Equals ``sqrt(1 - sum(qsigma[:k]**2) / ||x||**2)``, because the
+    expansion is an orthogonal projection, but is computed as the
+    expansion's relative error ``||x - x_k|| / ||x||``: the energy form
+    cancels, and its square root turns one ulp into about 1e-8.
     """
     x = as_tensor3(x)
     k = _check_level(k, model.r)
     normx = frobenius_norm(x)
     if normx == 0.0:
         raise DegenerateInputError("epsilon_r is undefined for a zero tensor")
-    captured = float(np.sum(model.qsigma[:k] ** 2))
-    return float(np.sqrt(max(0.0, 1.0 - captured / normx**2)))
+    return frobenius_norm(x - diagonal_expansion(model, k)) / normx
 
 
 def coeff_array(model):

@@ -1,4 +1,5 @@
-"""Dense third-order tensor primitives: unfolding, folding, mode products, SVD.
+"""Dense third-order tensor primitives: unfolding, folding, mode products, SVD,
+and per-mode factors.
 
 Conventions used throughout the package:
 
@@ -17,13 +18,19 @@ Conventions used throughout the package:
   left singular vector is positive (ties broken by the first maximum),
   with the sign change compensated in the right factor.  This keeps
   decompositions reproducible run to run.
+* A per-mode factor (:func:`mode_factor`) holds the leading left
+  singular vectors of an unfolding.  A wide unfolding ``A`` is first
+  reduced by QR, ``A^T = QR``; ``A = R^T Q^T`` shares its left singular
+  vectors with the small square ``R^T``, so only that triangular factor
+  goes through :func:`svd` (T. F. Chan, ACM TOMS 8(1), 1982).
+* :func:`mode_product` contracts one axis with ``np.tensordot`` and never
+  builds an unfolding.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ShapeError
 
@@ -33,6 +40,7 @@ __all__ = [
     "fold",
     "frobenius_norm",
     "inner_product",
+    "mode_factor",
     "mode_product",
     "outer3",
     "svd",
@@ -162,9 +170,8 @@ def mode_product(x, mat, mode):
             f"matrix has {mat.shape[1]} columns but mode {mode} has "
             f"extent {x.shape[axis]}"
         )
-    new_dims = list(x.shape)
-    new_dims[axis] = mat.shape[0]
-    return fold(mat @ unfold(x, mode), mode, new_dims)
+    product = np.tensordot(mat, x, ([1], [axis]))
+    return np.ascontiguousarray(np.moveaxis(product, 0, axis))
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,8 @@ def svd(m):
     except np.linalg.LinAlgError:
         # The divide-and-conquer driver occasionally fails; the slower
         # one-sided driver is more robust.
+        import scipy.linalg  # kept off the start-up path of every CLI call
+
         try:
             u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
         except scipy.linalg.LinAlgError as exc:
@@ -211,3 +220,16 @@ def svd(m):
     u[:, flip] = -u[:, flip]
     vt[flip, :] = -vt[flip, :]
     return SvdResult(u=u, singular_values=s, vt=vt)
+
+
+def mode_factor(x, mode, r):
+    """The ``r`` leading left singular vectors of ``unfold(x, mode)``.
+
+    A wide unfolding goes through :func:`svd` as the transpose of its
+    triangular QR factor, any other unfolding as it is; either way the
+    columns keep :func:`svd`'s sign convention.
+    """
+    a = unfold(x, mode)
+    if a.shape[1] > a.shape[0]:
+        a = np.linalg.qr(a.T, mode="r").T
+    return svd(a).u[:, :r].copy()

@@ -72,9 +72,43 @@ class TestTuckerDecompose:
         for u, v in zip(model.factors, hosvd.factors):
             assert np.array_equal(u, v)
 
+    def test_shared_contraction_sweep_matches_per_mode_sweep(self):
+        # Reference HOOI sweep: every mode update contracts the full volume
+        # with the other two factors, and the core is a fresh contraction.
+        x = np.random.default_rng(10).standard_normal((9, 10, 11))
+        k = 4
+        factors = list(s3dsvd.decompose(x, k).factors)
+        for mode in (1, 2, 3):
+            y = x
+            for other in (1, 2, 3):
+                if other != mode:
+                    y = tc.mode_product(y, factors[other - 1].T, other)
+            factors[mode - 1] = tc.svd(tc.unfold(y, mode)).u[:, :k]
+        core = x
+        for mode, u in enumerate(factors, start=1):
+            core = tc.mode_product(core, u.T, mode)
+        model = baselines.tucker_decompose(x, k, max_iters=1)
+        assert len(model.fit_history) == 2
+        for got, want in zip(model.factors, factors):
+            assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(model.core - core)) < 1e-10
+
+    def test_deterministic(self):
+        x = np.random.default_rng(11).standard_normal((9, 10, 11))
+        m1 = baselines.tucker_decompose(x, 4)
+        m2 = baselines.tucker_decompose(x, 4)
+        assert np.array_equal(m1.core, m2.core)
+        assert m1.fit_history == m2.fit_history
+        for u1, u2 in zip(m1.factors, m2.factors):
+            assert np.array_equal(u1, u2)
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             baselines.tucker_decompose(np.ones((4, 5, 6)), 5)
+
+    def test_overflowing_volume_raises_numeric_error(self):
+        with pytest.raises(errors.NumericError):
+            baselines.tucker_decompose(np.full((8, 8, 8), 1e308), 2)
 
     def test_non_finite_input(self):
         x = np.ones((3, 3, 3))

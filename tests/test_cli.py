@@ -489,3 +489,16 @@ class TestImportCost:
             text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_special_and_linalg_unloaded(self):
+        # Each is imported only by the function that uses it: the Student-t
+        # quantile of a CPD study and the SVD's gesvd fallback.
+        code = (
+            "import sys, volrank.cli; "
+            "print([m in sys.modules for m in ('scipy.special', 'scipy.linalg')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[False, False]"

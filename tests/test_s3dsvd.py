@@ -79,6 +79,16 @@ class TestDecompose:
         with pytest.raises(errors.NumericError):
             s3dsvd.decompose(x, 2)
 
+    def test_overflowing_volume_raises_numeric_error(self):
+        # Finite, but its norm and the contraction overflow.
+        with pytest.raises(errors.NumericError):
+            s3dsvd.decompose(np.full((8, 8, 8), 1e308), 2)
+
+    def test_contract_rejects_a_non_finite_core(self):
+        u = np.full((8, 1), 1 / np.sqrt(8))
+        with np.errstate(over="ignore"), pytest.raises(errors.NumericError, match="core"):
+            s3dsvd.contract(np.full((8, 8, 8), 1e308), (u, u, u))
+
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((7, 8, 9))
@@ -203,8 +213,8 @@ class TestEpsilonR:
             assert abs(s3dsvd.epsilon_r(model, x, k) - direct) < 1e-10
 
     def test_diagonal_core_instance_reaches_zero(self):
-        # The exact value is 0; the square root amplifies the ~1e-16
-        # cancellation residue of the energy ratio to the 1e-8 scale.
+        # The exact value is 0; the residual of the expansion is at the
+        # rounding level, far inside the bound.
         x, _, _ = exact_multirank((9, 10, 11), rho=3, seed=16, diagonal_core=True)
         model = s3dsvd.decompose(x, 3)
         assert s3dsvd.epsilon_r(model, x, 3) < 1e-7

@@ -176,6 +176,39 @@ class TestModeProduct:
         with pytest.raises(errors.ShapeError):
             tc.mode_product(np.ones((3, 4, 5)), np.ones((2, 3)), 2)
 
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_matches_unfold_fold_product(self, mode):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((6, 7, 8))
+        mat = rng.standard_normal((5, x.shape[mode - 1]))
+        dims = list(x.shape)
+        dims[mode - 1] = 5
+        want = tc.fold(mat @ tc.unfold(x, mode), mode, dims)
+        got = tc.mode_product(x, mat, mode)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+class TestModeFactor:
+    # (dims, mode, r): two wide unfoldings (6 x 56, 8 x 42), a square one
+    # (4 x 4) and one whose mode is longer than the other two together
+    # (40 x 12).
+    CASES = [((6, 7, 8), 1, 4), ((6, 7, 8), 3, 5), ((4, 2, 2), 1, 3), ((40, 3, 4), 1, 3)]
+
+    @pytest.mark.parametrize("dims, mode, r", CASES)
+    def test_matches_svd_of_unfolding(self, dims, mode, r):
+        x = np.random.default_rng(11).standard_normal(dims)
+        want = tc.svd(tc.unfold(x, mode)).u[:, :r]
+        got = tc.mode_factor(x, mode, r)
+        assert got.shape == (dims[mode - 1], r)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("dims, mode, r", CASES)
+    def test_sign_convention(self, dims, mode, r):
+        u = tc.mode_factor(np.random.default_rng(12).standard_normal(dims), mode, r)
+        for j in range(r):
+            assert u[np.argmax(np.abs(u[:, j])), j] > 0
+
 
 class TestSvd:
     def test_identity_matrix(self):
@@ -227,6 +260,18 @@ class TestSvd:
         m[1, 1] = np.nan
         with pytest.raises(errors.NumericError):
             tc.svd(m)
+
+    def test_gesvd_fallback(self, monkeypatch):
+        m = np.random.default_rng(9).standard_normal((6, 9))
+        want = tc.svd(m)
+
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(tc.np.linalg, "svd", diverges)
+        got = tc.svd(m)
+        assert np.allclose(got.singular_values, want.singular_values, rtol=1e-12)
+        assert np.max(np.abs(got.u - want.u)) < 1e-10
 
 
 class TestValidation:
