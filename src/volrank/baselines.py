@@ -12,8 +12,11 @@ Two baselines are provided for comparison against the structured 3D SVD:
   initialization, per-sweep column normalization into non-negative
   weights, and a ridge fallback when the normal equations are not
   numerically positive definite.  Each sweep runs on numpy's BLAS and
-  LAPACK alone and takes its stopping error from the Gram identity, so
-  it never builds the full reconstruction.
+  LAPACK alone.  Its MTTKRPs (the volume summed against matching columns
+  of two factors) contract the volume one factor at a time (Phan,
+  Tichavsky & Cichocki, IEEE TSP 2013), and its stopping error comes from
+  the Gram identity, so it builds no unfolding, Khatri-Rao matrix or
+  reconstruction.
 
 ``cpd_study`` runs the ALS fit once per seed and aggregates each metric
 into a mean and a Student-t 95% confidence half-width, optionally
@@ -40,7 +43,6 @@ from .tensor_core import (
     frobenius_norm,
     mode_factor,
     mode_product,
-    unfold,
 )
 
 __all__ = [
@@ -160,12 +162,6 @@ def tucker_reconstruct(model, k=None):
     return expand(model.core, model.factors, k)
 
 
-def _khatri_rao(hi, lo):
-    """Column-wise Khatri-Rao product with the lower mode varying fastest."""
-    r = hi.shape[1]
-    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, r)
-
-
 def _fit_error(normx, inner, weights, factors):
     """Relative error ``||x - xhat|| / ||x||`` without forming ``xhat``.
 
@@ -196,9 +192,9 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     Raises
     ------
     NumericError
-        If a Gram matrix, an MTTKRP (unfolding times Khatri-Rao product),
-        an updated factor or the weights are not finite, as when ``x`` is
-        so large that the normal equations overflow float64.
+        If a Gram matrix, an MTTKRP (``x`` summed against matching columns
+        of the other two factors), an updated factor or the weights are not
+        finite, as when ``x`` makes the normal equations overflow float64.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
@@ -207,17 +203,23 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     rng = np.random.default_rng(seed)
     factors = [rng.random((n, k)) for n in x.shape]
     weights = np.ones(k)
-    unfoldings = [unfold(x, mode) for mode in (1, 2, 3)]
     normx = frobenius_norm(x)
     ridge_applied = False
     prev_err = None
     iterations = 0
     converged = False
     for sweep in range(max_iters):
+        # Modes 1 and 2 share x3 = x x_3 f3, as f3 changes only in mode 3.
+        x3 = np.tensordot(x, factors[2], 1)
         for mode in range(3):
             lo, hi = [factors[m] for m in range(3) if m != mode]
             gram = (hi.T @ hi) * (lo.T @ lo)
-            rhs = unfoldings[mode] @ _khatri_rao(hi, lo)
+            if mode == 0:
+                rhs = np.einsum("ijr,jr->ir", x3, lo)
+            elif mode == 1:
+                rhs = np.einsum("ijr,ir->jr", x3, lo)
+            else:
+                rhs = np.einsum("rjl,jr->lr", np.tensordot(lo, x, (0, 0)), hi)
             _check_finite(gram, f"ALS mode-{mode + 1} Gram matrix")
             _check_finite(rhs, f"ALS mode-{mode + 1} MTTKRP")
             # Cholesky is only the positive-definiteness test here.

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from . import metrics
 from .tensor_core import (
     _check_finite,
     _check_level,
     _rank_one_sum,
     as_tensor3,
-    frobenius_norm,
     mode_factor,
     mode_product,
 )
@@ -142,15 +141,10 @@ def epsilon_r(model, x, k):
 
     Equals ``sqrt(1 - sum(qsigma[:k]**2) / ||x||**2)``, because the
     expansion is an orthogonal projection, but is computed as the
-    expansion's relative error ``||x - x_k|| / ||x||``: the energy form
-    cancels, and its square root turns one ulp into about 1e-8.
+    expansion's :func:`volrank.metrics.rel_err`: the energy form cancels,
+    and its square root turns one ulp into about 1e-8.
     """
-    x = as_tensor3(x)
-    k = _check_level(k, model.r)
-    normx = frobenius_norm(x)
-    if normx == 0.0:
-        raise DegenerateInputError("epsilon_r is undefined for a zero tensor")
-    return frobenius_norm(x - diagonal_expansion(model, k)) / normx
+    return metrics.rel_err(x, diagonal_expansion(model, k))
 
 
 def coeff_array(model):

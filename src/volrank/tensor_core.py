@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Modes are numbered 1..3 to match the usual tensor literature.
 * ``unfold(x, m)`` arranges mode-m fibers as columns of an
   ``n_m x (prod of the other dims)`` matrix, with the lower-numbered
-  remaining mode varying fastest across columns.  For a 2x2x2 tensor
+  remaining mode varying fastest across columns.  It and :func:`fold`
+  are reference definitions that no fit calls.  For a 2x2x2 tensor
   with entries ``x[i, j, k] = 4i + 2j + k`` the mode-1 unfolding is::
 
       [[0, 2, 1, 3],
@@ -23,8 +24,7 @@ Conventions used throughout the package:
   reduced by QR, ``A^T = QR``; ``A = R^T Q^T`` shares its left singular
   vectors with the small square ``R^T``, so only that triangular factor
   goes through :func:`svd` (T. F. Chan, ACM TOMS 8(1), 1982).
-* :func:`mode_product` contracts one axis with ``np.tensordot`` and never
-  builds an unfolding.
+* :func:`mode_product` contracts one axis with ``np.tensordot``.
 """
 
 from dataclasses import dataclass
@@ -98,8 +98,13 @@ def inner_product(a, b):
 
 
 def frobenius_norm(a):
-    """Frobenius norm, equal to ``sqrt(inner_product(a, a))``."""
-    return math.sqrt(inner_product(a, a))
+    """Frobenius norm ``sqrt(inner_product(a, a))``, rescaled if that overflows."""
+    sq = inner_product(a, a)
+    if sq == math.inf:
+        scale = float(np.max(np.abs(a)))
+        if scale < math.inf:
+            return scale * frobenius_norm(np.divide(a, scale))
+    return math.sqrt(sq)
 
 
 def outer3(u, v, w):
@@ -225,11 +230,14 @@ def svd(m):
 def mode_factor(x, mode, r):
     """The ``r`` leading left singular vectors of ``unfold(x, mode)``.
 
-    A wide unfolding goes through :func:`svd` as the transpose of its
-    triangular QR factor, any other unfolding as it is; either way the
-    columns keep :func:`svd`'s sign convention.
+    Column order leaves them unchanged, so the matrix is ``x`` reshaped
+    with mode ``mode`` first (a copy for mode 2 only).  A wide one goes
+    through :func:`svd` as its transposed triangular QR factor, any other
+    as it is; either way the columns keep :func:`svd`'s sign convention.
     """
-    a = unfold(x, mode)
+    x = as_tensor3(x)
+    _check_mode(mode)
+    a = np.moveaxis(x, mode - 1, 0).reshape(x.shape[mode - 1], -1)
     if a.shape[1] > a.shape[0]:
         a = np.linalg.qr(a.T, mode="r").T
     return svd(a).u[:, :r].copy()

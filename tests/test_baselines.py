@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import volrank
 from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc
 
 from oracles import cpd_expand_loop, tucker_expand_loop
@@ -110,11 +111,33 @@ class TestTuckerDecompose:
         with pytest.raises(errors.NumericError):
             baselines.tucker_decompose(np.full((8, 8, 8), 1e308), 2)
 
+    def test_huge_volume_stops_with_a_finite_history(self):
+        # Its sum of squares overflows, but the rescaled norm keeps every
+        # relative error finite, so HOOI sees no gain and stops.
+        with np.errstate(over="ignore"):
+            model = baselines.tucker_decompose(np.full((8, 8, 8), 1e306), 2)
+        assert len(model.fit_history) == 2
+        assert all(math.isfinite(e) and e < 1e-12 for e in model.fit_history)
+
     def test_non_finite_input(self):
         x = np.ones((3, 3, 3))
         x[2, 2, 2] = np.nan
         with pytest.raises(errors.NumericError):
             baselines.tucker_decompose(x, 2)
+
+
+def test_no_fit_builds_an_unfolding(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fit called unfold or fold")
+
+    for module in (volrank, tc, s3dsvd, baselines):
+        for name in ("unfold", "fold"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    x = np.random.default_rng(28).random((6, 7, 8))
+    s3dsvd.decompose(x, 3)
+    baselines.tucker_decompose(x, 3)
+    baselines.cpd_decompose(x, 3, seed=0, max_iters=5)
 
 
 class TestTuckerReconstruct:
@@ -230,6 +253,27 @@ class TestCpdDecompose:
         assert metrics.rel_err(x, baselines.cpd_reconstruct(shuffled)) == pytest.approx(
             base, rel=1e-12, abs=1e-12
         )
+
+    def test_contracted_mttkrp_sweep_matches_unfolding_sweep(self):
+        # Reference ALS sweep: each MTTKRP is the mode's unfolding times the
+        # Khatri-Rao product of the other two factors, lower mode fastest.
+        x = np.random.default_rng(27).random((6, 7, 8))
+        k, seed = 3, 5
+        rng = np.random.default_rng(seed)
+        factors = [rng.random((n, k)) for n in x.shape]
+        for mode in range(3):
+            lo, hi = [factors[m] for m in range(3) if m != mode]
+            khatri_rao = (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)
+            gram = (hi.T @ hi) * (lo.T @ lo)
+            rhs = tc.unfold(x, mode + 1) @ khatri_rao
+            factors[mode] = np.linalg.solve(gram, rhs.T).T
+        norms = [np.linalg.norm(f, axis=0) for f in factors]
+        model = baselines.cpd_decompose(x, k, seed, max_iters=1)
+        assert model.iterations_run == 1
+        assert not model.ridge_applied
+        assert np.max(np.abs(model.weights - norms[0] * norms[1] * norms[2])) < 1e-10
+        for got, f, n in zip(model.factors, factors, norms):
+            assert np.max(np.abs(got - f / n)) < 1e-10
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,13 @@ class TestRelErr:
         rhs = metrics.mse(x, xhat) * n
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_huge_volume_is_finite(self):
+        x = np.full((8, 8, 8), 1e200)
+        xhat = s3dsvd.reconstruct(s3dsvd.decompose(x, 1), 1)
+        with np.errstate(over="ignore"):
+            err = metrics.rel_err(x, xhat)
+        assert np.isfinite(err) and err < 1e-12
+
     def test_zero_reference_is_degenerate(self):
         with pytest.raises(errors.DegenerateInputError):
             metrics.rel_err(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))

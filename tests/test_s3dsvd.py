@@ -224,6 +224,19 @@ class TestEpsilonR:
         with pytest.raises(errors.DegenerateInputError):
             s3dsvd.epsilon_r(model, np.zeros((3, 4, 5)), 1)
 
+    def test_shape_mismatch(self):
+        # An 8x8x1 model's expansion must not broadcast against 8x8x8.
+        rng = np.random.default_rng(18)
+        model = s3dsvd.decompose(rng.random((8, 8, 1)), 1)
+        with pytest.raises(errors.ShapeError):
+            s3dsvd.epsilon_r(model, rng.random((8, 8, 8)), 1)
+
+    def test_huge_volume_is_finite(self):
+        x = np.full((8, 8, 8), 1e200)
+        with np.errstate(over="ignore"):
+            eps = s3dsvd.epsilon_r(s3dsvd.decompose(x, 1), x, 1)
+        assert np.isfinite(eps) and eps < 1e-12
+
 
 class TestCoeffArray:
     def test_two_coefficients(self):

@@ -62,6 +62,16 @@ class TestFrobeniusNorm:
             tc.inner_product(x, x), rel=1e-14
         )
 
+    def test_overflowing_squares_are_rescaled(self):
+        # Each square is 1e400, so the plain sum of squares overflows.
+        with np.errstate(over="ignore"):
+            norm = tc.frobenius_norm(np.full((8, 8, 8), 1e200))
+        assert norm == pytest.approx(1e200 * np.sqrt(512.0), rel=1e-15)
+
+    def test_non_finite_entries_stay_non_finite(self):
+        assert tc.frobenius_norm(np.full((2, 2, 2), np.inf)) == np.inf
+        assert np.isnan(tc.frobenius_norm(np.full((2, 2, 2), np.nan)))
+
 
 class TestOuter3:
     def test_basis_vectors(self):
@@ -190,10 +200,17 @@ class TestModeProduct:
 
 
 class TestModeFactor:
-    # (dims, mode, r): two wide unfoldings (6 x 56, 8 x 42), a square one
-    # (4 x 4) and one whose mode is longer than the other two together
-    # (40 x 12).
-    CASES = [((6, 7, 8), 1, 4), ((6, 7, 8), 3, 5), ((4, 2, 2), 1, 3), ((40, 3, 4), 1, 3)]
+    # (dims, mode, r): three wide unfoldings (6 x 56, 7 x 48, 8 x 42), a
+    # square one (4 x 4) and two whose mode is longer than the other two
+    # together (40 x 12), in the first and in the last mode.
+    CASES = [
+        ((6, 7, 8), 1, 4),
+        ((6, 7, 8), 2, 4),
+        ((6, 7, 8), 3, 5),
+        ((4, 2, 2), 1, 3),
+        ((40, 3, 4), 1, 3),
+        ((3, 4, 40), 3, 3),
+    ]
 
     @pytest.mark.parametrize("dims, mode, r", CASES)
     def test_matches_svd_of_unfolding(self, dims, mode, r):
@@ -208,6 +225,15 @@ class TestModeFactor:
         u = tc.mode_factor(np.random.default_rng(12).standard_normal(dims), mode, r)
         for j in range(r):
             assert u[np.argmax(np.abs(u[:, j])), j] > 0
+
+    @pytest.mark.parametrize("mode", [0, 4])
+    def test_invalid_mode(self, mode):
+        with pytest.raises(ValueError):
+            tc.mode_factor(np.ones((3, 4, 5)), mode, 2)
+
+    def test_rejects_a_non_tensor(self):
+        with pytest.raises(errors.ShapeError):
+            tc.mode_factor(np.ones((3, 4)), 1, 2)
 
 
 class TestSvd:
