@@ -41,7 +41,8 @@ class MetricsReport:
 def mse(x, xhat):
     """Mean squared difference between ``x`` and ``xhat``."""
     x, xhat = _check_pair(x, xhat)
-    return float(np.mean((x - xhat) ** 2))
+    d = (x - xhat).ravel()
+    return float(np.dot(d, d)) / d.size
 
 
 def psnr(x, xhat):

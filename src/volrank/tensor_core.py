@@ -24,7 +24,8 @@ Conventions used throughout the package:
   reduced by QR, ``A^T = QR``; ``A = R^T Q^T`` shares its left singular
   vectors with the small square ``R^T``, so only that triangular factor
   goes through :func:`svd` (T. F. Chan, ACM TOMS 8(1), 1982).
-* :func:`mode_product` contracts one axis with ``np.tensordot``.
+* :func:`mode_product` writes its result in C order with no transpose
+  copy, as one matrix product per mode.
 """
 
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ def inner_product(a, b):
 
 def frobenius_norm(a):
     """Frobenius norm ``sqrt(inner_product(a, a))``, rescaled if that overflows."""
-    sq = inner_product(a, a)
+    with np.errstate(over="ignore"):  # an overflow is the inf tested below
+        sq = inner_product(a, a)
     if sq == math.inf:
         scale = float(np.max(np.abs(a)))
         if scale < math.inf:
@@ -162,7 +164,11 @@ def mode_product(x, mat, mode):
     """Mode-``mode`` product ``x x_mode mat``.
 
     ``mat`` must have as many columns as ``x`` has entries along ``mode``;
-    the result has ``mat.shape[0]`` entries along that mode.
+    the result has ``mat.shape[0]`` entries along that mode (Kolda &
+    Bader, SIAM Review 51(3), 2009, section 2.5).  Each mode is one
+    product whose output is already in C order: mode 1 is one GEMM on
+    ``x`` viewed as ``n1 x (n2 n3)``, mode 2 a GEMM per mode-1 slice
+    and mode 3 one GEMM on ``x`` viewed as ``(n1 n2) x n3``.
     """
     x = as_tensor3(x)
     _check_mode(mode)
@@ -175,8 +181,11 @@ def mode_product(x, mat, mode):
             f"matrix has {mat.shape[1]} columns but mode {mode} has "
             f"extent {x.shape[axis]}"
         )
-    product = np.tensordot(mat, x, ([1], [axis]))
-    return np.ascontiguousarray(np.moveaxis(product, 0, axis))
+    if mode == 1:
+        return np.tensordot(mat, x, 1)
+    if mode == 2:
+        return np.matmul(mat, x)
+    return np.tensordot(x, mat, ([2], [1]))
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,25 @@ class TestSweep:
                        "--no-timing") == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
+    def test_threaded_sweep_matches_serial_on_a_large_volume(self, tmp_path, monkeypatch):
+        # 48^3 entries is past the size at which BLAS may split one dot
+        # product, which mse and rel_err both take, across its threads.
+        volume = tmp_path / "blobs48.s3dv"
+        assert run_cli("gen", "--kind", "blobs", "--dims", "48,48,48", "--seed", "3",
+                       "--output", volume) == 0
+        outs = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("VOLRANK_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("VOLRANK_THREADS", threads)
+            out = tmp_path / f"threads-{threads}.csv"
+            assert run_cli("sweep", "--input", volume, "--method", "s3dsvd,tucker,cpd",
+                           "--ks", "2", "--seeds", "0,1,2,3", "--csv", out,
+                           "--no-timing") == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_matches_single_shot_pipeline(self, blob_volume, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",

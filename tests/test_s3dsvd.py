@@ -43,6 +43,12 @@ class TestDecompose:
         xr = s3dsvd.reconstruct(model, 4)
         assert tc.frobenius_norm(x - xr) / tc.frobenius_norm(x) < 1e-10
 
+    def test_reconstruction_is_c_contiguous(self):
+        rng = np.random.default_rng(4)
+        model = s3dsvd.decompose(rng.standard_normal((5, 6, 7)), 4)
+        for k in (1, 3, 4):
+            assert s3dsvd.reconstruct(model, k).flags.c_contiguous
+
     def test_qsigma_equals_core_diagonal_exactly(self):
         rng = np.random.default_rng(3)
         model = s3dsvd.decompose(rng.standard_normal((6, 7, 8)), 5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,10 @@ class TestFrobeniusNorm:
         )
 
     def test_overflowing_squares_are_rescaled(self):
-        # Each square is 1e400, so the plain sum of squares overflows.
-        with np.errstate(over="ignore"):
+        # Each square is 1e400, so the plain sum of squares overflows; that
+        # overflow is handled, so it must not surface as a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             norm = tc.frobenius_norm(np.full((8, 8, 8), 1e200))
         assert norm == pytest.approx(1e200 * np.sqrt(512.0), rel=1e-15)
 
@@ -195,6 +199,27 @@ class TestModeProduct:
         dims[mode - 1] = 5
         want = tc.fold(mat @ tc.unfold(x, mode), mode, dims)
         got = tc.mode_product(x, mat, mode)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("view", ["transpose", "column_slice"])
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_non_contiguous_matrix_views(self, mode, view):
+        # The views contract and expand use: u.T shrinks a mode, u[:, :k]
+        # grows one; neither is C-contiguous.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 4, 5))
+        n = x.shape[mode - 1]
+        if view == "transpose":
+            mat = rng.standard_normal((n, 2)).T
+        else:
+            mat = rng.standard_normal((7, n + 3))[:, :n]
+        assert not mat.flags.c_contiguous
+        dims = list(x.shape)
+        dims[mode - 1] = mat.shape[0]
+        want = tc.fold(mat @ tc.unfold(x, mode), mode, dims)
+        got = tc.mode_product(x, mat, mode)
+        assert got.shape == tuple(dims)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) < 1e-13
 
