@@ -28,7 +28,6 @@ import numpy as np
 from . import baselines, metrics, s3dsvd, volume_io
 from .baselines import CpModel, TuckerModel
 from .errors import DegenerateInputError, NumericError, ParseError
-from .s3dsvd import S3dModel
 
 __all__ = ["SweepResult", "entry_point", "main", "run_sweep"]
 
@@ -274,20 +273,21 @@ def _cmd_decompose(args):
 
 
 def _reconstruct_model(model, k):
+    """Expand ``model`` at level ``k``; return ``(method, k, xhat)``, cpd at its rank."""
     if isinstance(model, CpModel):
         if k is not None:
             print("volrank: warning: k is ignored for cpd models", file=sys.stderr)
-        return baselines.cpd_reconstruct(model)
+        return "cpd", model.rank, baselines.cpd_reconstruct(model)
     if k is None:
         raise ValueError("--k is required for s3dsvd and tucker models")
     if isinstance(model, TuckerModel):
-        return baselines.tucker_reconstruct(model, k)
-    return s3dsvd.reconstruct(model, k)
+        return "tucker", k, baselines.tucker_reconstruct(model, k)
+    return "s3dsvd", k, s3dsvd.reconstruct(model, k)
 
 
 def _cmd_reconstruct(args):
     model = volume_io.read_model(args.input)
-    xhat = _reconstruct_model(model, args.k)
+    _, _, xhat = _reconstruct_model(model, args.k)
     volume_io.write_volume(args.output, xhat)
     if args.slices:
         n3 = xhat.shape[2]
@@ -313,17 +313,9 @@ def _cmd_metrics(args):
         k = args.k if args.k is not None else 0
     else:
         model = volume_io.read_model(args.model)
-        xhat = _reconstruct_model(model, args.k)
-        if isinstance(model, S3dModel):
-            method = "s3dsvd"
-            per_value = metrics.per(model, args.k)
-            k = args.k
-        elif isinstance(model, TuckerModel):
-            method = "tucker"
-            k = args.k
-        else:
-            method = "cpd"
-            k = model.rank
+        method, k, xhat = _reconstruct_model(model, args.k)
+        if method == "s3dsvd":
+            per_value = metrics.per(model, k)
     elapsed = time.perf_counter() - start
     report = metrics.score(x, xhat, method, k, per_value, elapsed)
     columns = _csv_columns(False, not args.no_timing)

@@ -53,12 +53,16 @@ def psnr(x, xhat):
     peak or mse that overflows float64 leaves it infinite, zero or NaN.
     """
     x, xhat = _check_pair(x, xhat)
+    return _psnr(x, mse(x, xhat))
+
+
+def _psnr(x, err):
+    """PSNR of a reconstruction of ``x`` whose mse is ``err``."""
     peak = float(np.max(x))
     if peak <= 0.0:
         raise DegenerateInputError(
             f"psnr needs a positive peak in the reference volume, got max={peak}"
         )
-    err = mse(x, xhat)
     if err == 0.0:
         return math.inf
     ratio = peak * peak / err
@@ -78,11 +82,13 @@ def rel_err(x, xhat):
 
 def score(x, xhat, method, k, per=None, elapsed_seconds=None):
     """Score ``xhat`` against ``x`` as one ``method``/``k`` cell."""
+    x, xhat = _check_pair(x, xhat)
+    err = mse(x, xhat)
     return MetricsReport(
         method=method,
         k=k,
-        psnr_db=psnr(x, xhat),
-        mse=mse(x, xhat),
+        psnr_db=_psnr(x, err),
+        mse=err,
         rel_err=rel_err(x, xhat),
         per=per,
         elapsed_seconds=elapsed_seconds,

@@ -11,13 +11,14 @@ Both formats are little-endian with fixed headers:
   core (C order) plus qsigma for s3dsvd, core alone for tucker, weights
   plus a u64 seed for cpd.
 
-A level-``j`` read parses the whole model, then keeps the leading ``j``
-columns per mode and the leading ``j^3`` core block; it reconstructs
-exactly as the truncated full model does.  The level-``j`` data is
-scattered through the file, so every level reads every byte.
+``_LAYOUTS`` is the one definition of each method's payload: the writer,
+the reader and level reads all follow it.  A level-``j`` read parses the
+whole model, then keeps the leading ``j`` entries along every axis of
+length rank (factor columns, core block, qsigma); it reconstructs exactly
+as the truncated full model does.  The level-``j`` data is scattered
+through the file, so every level reads every byte.
 """
 
-import dataclasses
 import struct
 
 import numpy as np
@@ -48,6 +49,20 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_NAMES = {"float32": 0, "float64": 1}
 _METHOD_CODES = {"s3dsvd": 0, "tucker": 1, "cpd": 2}
 _METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
+
+# Per method: the model type, its rank field, the float blocks written after
+# the factors as (name in messages, field, number of axes of length rank),
+# and the fields the file does not store.
+_LAYOUTS = {
+    "s3dsvd": (S3dModel, "r", (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
+    "tucker": (TuckerModel, "rank", (("core tensor", "core", 3),), {"fit_history": ()}),
+    "cpd": (
+        CpModel,
+        "rank",
+        (("weights", "weights", 1),),
+        {"iterations_run": 0, "converged": False, "ridge_applied": False},
+    ),
+}
 
 
 def volume_to_bytes(x, dtype="float64"):
@@ -111,15 +126,12 @@ def model_to_bytes(model):
     Raises :class:`NumericError` if a float block holds a NaN or inf,
     naming the block and flat index as :func:`model_from_bytes` would.
     """
-    if isinstance(model, S3dModel):
-        method, rank = "s3dsvd", model.r
-        blocks = [("core tensor", model.core), ("qsigma", model.qsigma)]
-    elif isinstance(model, TuckerModel):
-        method, rank, blocks = "tucker", model.rank, [("core tensor", model.core)]
-    elif isinstance(model, CpModel):
-        method, rank, blocks = "cpd", model.rank, [("weights", model.weights)]
+    for method, (kind, rank_field, blocks, _) in _LAYOUTS.items():
+        if isinstance(model, kind):
+            break
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    rank = getattr(model, rank_field)
     header = MODEL_MAGIC + struct.pack(
         "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *model.dims, rank
     )
@@ -127,7 +139,10 @@ def model_to_bytes(model):
     flats = [
         (f"factor matrix u{mode}", np.asarray(u, dtype="<f8").ravel(order="F"))
         for mode, u in enumerate(model.factors, start=1)
-    ] + [(what, np.asarray(a, dtype="<f8").ravel()) for what, a in blocks]
+    ] + [
+        (what, np.asarray(getattr(model, field), dtype="<f8").ravel())
+        for what, field, _ in blocks
+    ]
     for what, flat in flats:
         _check_finite(flat, what)
     seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
@@ -149,14 +164,15 @@ def _take_floats(data, pos, count, what, blocks):
 def model_from_bytes(data, level=None):
     """Parse a serialized model, optionally truncated to its first ``level`` terms.
 
-    A level-``j`` read keeps the leading ``j`` factor columns per mode and
-    the leading ``j^3`` core block (s3dsvd and tucker only); it
-    reconstructs identically to truncating the fully parsed model.  Every
-    float block of the file is checked for non-finite values after its
-    structure and ``level`` have been accepted, so a malformed file is a
-    :class:`ParseError` whatever values it holds.
+    A level-``j`` read keeps the leading ``j`` entries along every axis of
+    length rank (s3dsvd and tucker only); it reconstructs identically to
+    truncating the fully parsed model.  Every float block of the file is
+    checked for non-finite values after its structure and ``level`` have
+    been accepted, so a malformed file is a :class:`ParseError` whatever
+    values it holds.
     """
     method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
+    kind, rank_field, payload, unstored = _LAYOUTS[method]
     *dims, rank = struct.unpack_from("<IIII", data, 8)
     dims = tuple(dims)
     if min(dims) < 1 or not 1 <= rank <= min(dims):
@@ -167,56 +183,31 @@ def model_from_bytes(data, level=None):
     for mode, n in enumerate(dims, start=1):
         flat, pos = _take_floats(data, pos, n * rank, f"factor matrix u{mode}", blocks)
         factors.append(flat.reshape((n, rank), order="F"))
-    factors = tuple(factors)
-    if method != "cpd":
-        core_flat, pos = _take_floats(data, pos, rank**3, "core tensor", blocks)
-        core = core_flat.reshape((rank, rank, rank))
-    if method == "s3dsvd":
-        qsigma, pos = _take_floats(data, pos, rank, "qsigma", blocks)
-        model = S3dModel(dims=dims, r=rank, factors=factors, core=core, qsigma=qsigma)
-    elif method == "tucker":
-        model = TuckerModel(
-            dims=dims, rank=rank, factors=factors, core=core, fit_history=()
-        )
-    else:
-        weights, pos = _take_floats(data, pos, rank, "weights", blocks)
+    fields = {}
+    for what, field, axes in payload:
+        flat, pos = _take_floats(data, pos, rank**axes, what, blocks)
+        fields[field] = flat.reshape((rank,) * axes)
+    if method == "cpd":
         if pos + 8 > len(data):
             raise ParseError("truncated seed: expected 8 bytes", offset=len(data))
-        (seed,) = struct.unpack_from("<Q", data, pos)
+        (fields["seed"],) = struct.unpack_from("<Q", data, pos)
         pos += 8
-        model = CpModel(
-            dims=dims,
-            rank=rank,
-            factors=factors,
-            weights=weights,
-            seed=seed,
-            iterations_run=0,
-            converged=False,
-            ridge_applied=False,
-        )
     if pos != len(data):
         raise ParseError(f"trailing bytes after model payload", offset=pos)
     if level is not None:
-        model = _truncate_model(model, int(level))
+        if method == "cpd":
+            raise ValueError(
+                "cpd models reconstruct at their fitted rank; level is not supported"
+            )
+        rank = _check_level(level, rank, "level")
+        factors = [np.ascontiguousarray(u[:, :rank]) for u in factors]
+        for field, a in fields.items():
+            fields[field] = np.ascontiguousarray(a[(slice(rank),) * a.ndim])
     for what, flat in blocks:
         _check_finite(flat, what)
-    return model
-
-
-def _truncate_model(model, level):
-    if isinstance(model, CpModel):
-        raise ValueError("cpd models reconstruct at their fitted rank; level is not supported")
-    is_s3d = isinstance(model, S3dModel)
-    level = _check_level(level, model.r if is_s3d else model.rank, "level")
-    head = dict(
-        factors=tuple(u[:, :level].copy() for u in model.factors),
-        core=np.ascontiguousarray(model.core[:level, :level, :level]),
+    return kind(
+        dims=dims, factors=tuple(factors), **{rank_field: rank}, **fields, **unstored
     )
-    if is_s3d:
-        return dataclasses.replace(
-            model, r=level, qsigma=model.qsigma[:level].copy(), **head
-        )
-    return dataclasses.replace(model, rank=level, fit_history=(), **head)
 
 
 def write_model(path, model):

@@ -203,6 +203,50 @@ class TestMetricsCommand:
         assert run_cli("metrics", "--input", blob_volume, "--recon", blob_volume,
                        "--model", blob_volume) == 2
 
+    @pytest.mark.parametrize("method,k,label_k", [
+        ("s3dsvd", "2", "2"), ("tucker", "2", "2"), ("cpd", None, "3"), ("cpd", "1", "3"),
+    ])
+    def test_model_kinds_label_their_rows(self, blob_volume, tmp_path, capsys,
+                                          method, k, label_k):
+        model_path = tmp_path / "m.s3dm"
+        assert run_cli("decompose", "--input", blob_volume, "--method", method,
+                       "--rank", "3", "--output", model_path) == 0
+        out = tmp_path / "m.csv"
+        k_args = () if k is None else ("--k", k)
+        capsys.readouterr()
+        assert run_cli("metrics", "--input", blob_volume, "--model", model_path,
+                       *k_args, "--csv", out, "--no-timing") == 0
+        warning = "volrank: warning: k is ignored for cpd models\n"
+        assert capsys.readouterr().err == (warning if k and method == "cpd" else "")
+        row = read_csv(out)[0]
+        assert (row["method"], row["k"]) == (method, label_k)
+        assert (row["per"] == "") == (method != "s3dsvd")
+
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker"])
+    def test_missing_k_exits_2(self, blob_volume, tmp_path, capsys, method):
+        model_path = tmp_path / "m.s3dm"
+        run_cli("decompose", "--input", blob_volume, "--method", method,
+                "--rank", "2", "--output", model_path)
+        capsys.readouterr()
+        assert run_cli("metrics", "--input", blob_volume, "--model", model_path) == 2
+        assert "--k is required" in capsys.readouterr().err
+
+    def test_all_zero_model_reconstructs_but_does_not_score(self, tmp_path, capsys):
+        # Every qsigma of an all-zero volume is zero, so PER is undefined;
+        # reconstruct never asks for it, metrics does.
+        vol, model_path = tmp_path / "z.s3dv", tmp_path / "z.s3dm"
+        x = np.zeros((4, 5, 6))
+        volume_io.write_volume(vol, x)
+        volume_io.write_model(model_path, s3dsvd.decompose(x, 2))
+        recon = tmp_path / "r.s3dv"
+        assert run_cli("reconstruct", "--input", model_path, "--k", "1",
+                       "--output", recon) == 0
+        assert np.array_equal(volume_io.read_volume(recon), x)
+        capsys.readouterr()
+        assert run_cli("metrics", "--input", vol, "--model", model_path,
+                       "--k", "1") == 4
+        assert "DegenerateInputError" in capsys.readouterr().err
+
     def test_infinite_psnr_spelled_inf(self, blob_volume, tmp_path):
         out = tmp_path / "m.csv"
         assert run_cli("metrics", "--input", blob_volume, "--recon", blob_volume,

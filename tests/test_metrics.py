@@ -211,3 +211,33 @@ class TestMetricsReport:
         )
         assert report.per is None
         assert report.elapsed_seconds is None
+
+
+class TestScore:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_single_metrics_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.1, 1.0, size=(5, 6, 7))
+        xhat = x + rng.normal(scale=0.05, size=x.shape)
+        report = metrics.score(x, xhat, "s3dsvd", 3, per=0.5, elapsed_seconds=1.0)
+        assert report.psnr_db == metrics.psnr(x, xhat)
+        assert report.mse == metrics.mse(x, xhat)
+        assert report.rel_err == metrics.rel_err(x, xhat)
+        assert (report.method, report.k, report.per) == ("s3dsvd", 3, 0.5)
+        assert report.elapsed_seconds == 1.0
+
+    def test_exact_reconstruction_is_infinite(self):
+        x = np.ones((2, 3, 4))
+        report = metrics.score(x, x.copy(), "recon", 0)
+        assert report.psnr_db == math.inf
+        assert report.mse == 0.0
+
+    def test_raises_what_psnr_raises(self):
+        with pytest.raises(errors.DegenerateInputError):
+            metrics.score(np.zeros((2, 2, 2)), np.ones((2, 2, 2)), "recon", 0)
+        with pytest.raises(errors.DegenerateInputError):
+            metrics.score(-np.ones((2, 2, 2)), np.zeros((2, 2, 2)), "recon", 0)
+        x = np.ones((2, 2, 2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(errors.NumericError, match="psnr is undefined"):
+                metrics.score(x, np.full((2, 2, 2), 1e200), "recon", 0)

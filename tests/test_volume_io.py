@@ -152,6 +152,32 @@ class TestModelRoundtrip:
         with pytest.raises(ValueError):
             volume_io.model_from_bytes(data, level=1)
 
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker"])
+    def test_level_reads_reserialize_as_hand_truncated_models(self, method):
+        x = self._volume()
+        if method == "s3dsvd":
+            model = s3dsvd.decompose(x, 5)
+        else:
+            model = baselines.tucker_decompose(x, 5)
+        data = volume_io.model_to_bytes(model)
+        for j in range(1, 6):
+            fields = dict(
+                factors=tuple(u[:, :j] for u in model.factors),
+                core=model.core[:j, :j, :j],
+            )
+            if method == "s3dsvd":
+                fields.update(r=j, qsigma=model.qsigma[:j])
+            else:
+                fields.update(rank=j)
+            want = volume_io.model_to_bytes(dataclasses.replace(model, **fields))
+            got = volume_io.model_from_bytes(data, level=j)
+            assert type(got) is type(model)
+            assert volume_io.model_to_bytes(got) == want
+
+    def test_writer_rejects_unknown_model_types(self):
+        with pytest.raises(TypeError, match="object"):
+            volume_io.model_to_bytes(object())
+
     def test_model_parse_errors(self):
         model = s3dsvd.decompose(self._volume(), 3)
         data = volume_io.model_to_bytes(model)
