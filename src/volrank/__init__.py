@@ -4,107 +4,28 @@ Provides a structured 3D SVD with progressive truncated reconstruction,
 Tucker/HOOI and CPD/ALS baselines, reconstruction quality metrics,
 bit-exact binary volume/model formats, synthetic volume generators, and
 a benchmark command line front end.
+
+Each module's ``__all__`` declares its public names; the package
+re-exports their union.
 """
 
-from .baselines import (
-    CpModel,
-    CpStudy,
-    TuckerModel,
-    cpd_decompose,
-    cpd_reconstruct,
-    cpd_study,
-    tucker_decompose,
-    tucker_reconstruct,
-)
-from .errors import (
-    DegenerateInputError,
-    NumericError,
-    ParseError,
-    ShapeError,
-    VolrankError,
-)
-from .metrics import MetricsReport, mse, per, psnr, rel_err, select_rank_by_per
-from .s3dsvd import (
-    CoeffArray,
-    S3dModel,
-    coeff_array,
-    decompose,
-    diagonal_expansion,
-    epsilon_r,
-    ordering_report,
-    reconstruct,
-)
-from .tensor_core import (
-    SvdResult,
-    as_tensor3,
-    fold,
-    frobenius_norm,
-    inner_product,
-    mode_product,
-    outer3,
-    svd,
-    unfold,
-)
-from .volume_io import (
-    gen_synthetic,
-    model_from_bytes,
-    model_to_bytes,
-    normalize_01,
-    read_model,
-    read_volume,
-    volume_from_bytes,
-    volume_to_bytes,
-    write_model,
-    write_volume,
-)
+from . import baselines, errors, metrics, s3dsvd, tensor_core, volume_io
+from .baselines import *
+from .errors import *
+from .metrics import *
+from .s3dsvd import *
+from .tensor_core import *
+from .volume_io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoeffArray",
-    "CpModel",
-    "CpStudy",
-    "DegenerateInputError",
-    "MetricsReport",
-    "NumericError",
-    "ParseError",
-    "S3dModel",
-    "ShapeError",
-    "SvdResult",
-    "TuckerModel",
-    "VolrankError",
-    "as_tensor3",
-    "coeff_array",
-    "cpd_decompose",
-    "cpd_reconstruct",
-    "cpd_study",
-    "decompose",
-    "diagonal_expansion",
-    "epsilon_r",
-    "fold",
-    "frobenius_norm",
-    "gen_synthetic",
-    "inner_product",
-    "mode_product",
-    "model_from_bytes",
-    "model_to_bytes",
-    "mse",
-    "normalize_01",
-    "ordering_report",
-    "outer3",
-    "per",
-    "psnr",
-    "read_model",
-    "read_volume",
-    "reconstruct",
-    "rel_err",
-    "select_rank_by_per",
-    "svd",
-    "tucker_decompose",
-    "tucker_reconstruct",
-    "unfold",
-    "volume_from_bytes",
-    "volume_to_bytes",
-    "write_model",
-    "write_volume",
-]
+__all__ = sorted(
+    {
+        *baselines.__all__,
+        *errors.__all__,
+        *metrics.__all__,
+        *s3dsvd.__all__,
+        *tensor_core.__all__,
+        *volume_io.__all__,
+    }
+)

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -114,11 +113,9 @@ def _threads_from_env():
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Benchmark grid rows plus the PER-selected rank, if s3dsvd ran."""
+    """Benchmark grid rows, one dict per method and k."""
 
     rows: tuple
-    per_threshold: float
-    per_threshold_rank: Optional[int]
 
 
 def _report_to_row(report, ci=None):
@@ -146,9 +143,9 @@ def _report_to_row(report, ci=None):
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     """Benchmark ``methods`` at every k in ``ks`` against volume ``x``.
 
-    s3dsvd decomposes once at ``max(ks)`` and truncates per k, charging
-    each row an equal share of the decompose time plus its own
-    reconstruction time; tucker and cpd refit per k.  cpd rows aggregate
+    Every row's time is fit time only.  s3dsvd decomposes once at
+    ``max(ks)`` and truncates per k, charging each row an equal share of
+    that one decompose; tucker and cpd refit per k.  cpd rows aggregate
     one run per seed, with ``threads`` capping study parallelism.
     """
 
@@ -157,25 +154,21 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
             print(message, file=log)
 
     rows = []
-    threshold_rank = None
     for method in methods:
         if method == "s3dsvd":
             start = time.perf_counter()
             model = s3dsvd.decompose(x, max(ks))
             decompose_share = (time.perf_counter() - start) / len(ks)
             for k in ks:
-                start = time.perf_counter()
                 xhat = s3dsvd.reconstruct(model, k)
-                elapsed = decompose_share + (time.perf_counter() - start)
                 report = metrics.score(
-                    x, xhat, "s3dsvd", k, metrics.per(model, k), elapsed
+                    x, xhat, "s3dsvd", k, metrics.per(model, k), decompose_share
                 )
                 rows.append(_report_to_row(report))
                 say(f"sweep method=s3dsvd k={k} done")
-            threshold_rank = metrics.select_rank_by_per(model, PER_THRESHOLD)
             say(
                 f"per threshold {_fmt(PER_THRESHOLD)} first reached at"
-                f" k={threshold_rank}"
+                f" k={metrics.select_rank_by_per(model, PER_THRESHOLD)}"
             )
         elif method == "tucker":
             for k in ks:
@@ -204,11 +197,7 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                     f"sweep method=cpd k={k} done ({len(seeds)} seeds,"
                     f" {len(stuck)} unconverged: {list(stuck)})"
                 )
-    return SweepResult(
-        rows=tuple(rows),
-        per_threshold=PER_THRESHOLD,
-        per_threshold_rank=threshold_rank,
-    )
+    return SweepResult(rows=tuple(rows))
 
 
 def _csv_columns(with_ci, with_timing):

@@ -4,6 +4,14 @@ The command line front end maps these onto process exit codes, so each
 class marks a distinct failure family rather than a single call site.
 """
 
+__all__ = [
+    "DegenerateInputError",
+    "NumericError",
+    "ParseError",
+    "ShapeError",
+    "VolrankError",
+]
+
 
 class VolrankError(Exception):
     """Base class for all package-specific errors."""

@@ -74,22 +74,34 @@ def _psnr(x, err):
 def rel_err(x, xhat):
     """Relative Frobenius error ``||x - xhat|| / ||x||``."""
     x, xhat = _check_pair(x, xhat)
-    normx = frobenius_norm(x)
-    if normx == 0.0:
-        raise DegenerateInputError("rel_err is undefined for a zero reference")
+    normx = _reference_norm(x)
     return frobenius_norm(x - xhat) / normx
 
 
+def _reference_norm(x):
+    """``||x||``, the denominator of :func:`rel_err`; zero is degenerate."""
+    normx = frobenius_norm(x)
+    if normx == 0.0:
+        raise DegenerateInputError("rel_err is undefined for a zero reference")
+    return normx
+
+
 def score(x, xhat, method, k, per=None, elapsed_seconds=None):
-    """Score ``xhat`` against ``x`` as one ``method``/``k`` cell."""
+    """Score ``xhat`` against ``x`` as one ``method``/``k`` cell.
+
+    One residual gives all three values, each bit for bit what
+    :func:`psnr`, :func:`mse` and :func:`rel_err` return.
+    """
     x, xhat = _check_pair(x, xhat)
-    err = mse(x, xhat)
+    d = (x - xhat).ravel()
+    sq = float(np.dot(d, d))
+    err = sq / d.size
     return MetricsReport(
         method=method,
         k=k,
         psnr_db=_psnr(x, err),
         mse=err,
-        rel_err=rel_err(x, xhat),
+        rel_err=math.sqrt(sq) / _reference_norm(x),
         per=per,
         elapsed_seconds=elapsed_seconds,
     )

@@ -41,7 +41,6 @@ __all__ = [
     "fold",
     "frobenius_norm",
     "inner_product",
-    "mode_factor",
     "mode_product",
     "outer3",
     "svd",

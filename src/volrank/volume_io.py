@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .baselines import CpModel, TuckerModel
-from .errors import DegenerateInputError, ParseError, ShapeError
+from .errors import DegenerateInputError, NumericError, ParseError, ShapeError
 from .s3dsvd import S3dModel, expand
 from .tensor_core import _check_finite, _check_level, as_tensor3
 
@@ -123,8 +123,9 @@ def read_volume(path):
 def model_to_bytes(model):
     """Serialize a decomposition model; the method is inferred from its type.
 
-    Raises :class:`NumericError` if a float block holds a NaN or inf,
-    naming the block and flat index as :func:`model_from_bytes` would.
+    Raises :class:`NumericError` if a float block holds a NaN or inf, or
+    an s3dsvd model's qsigma is not its core diagonal, as
+    :func:`model_from_bytes` would.
     """
     for method, (kind, rank_field, blocks, _) in _LAYOUTS.items():
         if isinstance(model, kind):
@@ -145,6 +146,8 @@ def model_to_bytes(model):
     ]
     for what, flat in flats:
         _check_finite(flat, what)
+    if method == "s3dsvd":
+        _check_qsigma(flats)
     seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
     return header + b"".join(flat.tobytes() for _, flat in flats) + seed
 
@@ -166,10 +169,11 @@ def model_from_bytes(data, level=None):
 
     A level-``j`` read keeps the leading ``j`` entries along every axis of
     length rank (s3dsvd and tucker only); it reconstructs identically to
-    truncating the fully parsed model.  Every float block of the file is
-    checked for non-finite values after its structure and ``level`` have
-    been accepted, so a malformed file is a :class:`ParseError` whatever
-    values it holds.
+    truncating the fully parsed model.  The whole file's values are
+    checked after its structure and ``level`` have been accepted: every
+    float block for non-finite values, then an s3dsvd qsigma against its
+    core diagonal.  A malformed file is therefore a :class:`ParseError`
+    whatever values it holds.
     """
     method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
     kind, rank_field, payload, unstored = _LAYOUTS[method]
@@ -205,9 +209,27 @@ def model_from_bytes(data, level=None):
             fields[field] = np.ascontiguousarray(a[(slice(rank),) * a.ndim])
     for what, flat in blocks:
         _check_finite(flat, what)
+    if method == "s3dsvd":
+        _check_qsigma(blocks)
     return kind(
         dims=dims, factors=tuple(factors), **{rank_field: rank}, **fields, **unstored
     )
+
+
+def _check_qsigma(flats):
+    """Raise :class:`NumericError` unless qsigma is exactly the core diagonal.
+
+    ``flats`` holds the ``(name, flat)`` float blocks of a whole s3dsvd
+    payload, as written or read.
+    """
+    named = dict(flats)
+    qsigma = named["qsigma"]
+    core = named["core tensor"].reshape((qsigma.size,) * 3)
+    differ = np.flatnonzero(np.einsum("iii->i", core) != qsigma)
+    if differ.size:
+        raise NumericError(
+            f"qsigma differs from the core diagonal at index {differ[0]}"
+        )
 
 
 def write_model(path, model):

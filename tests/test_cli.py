@@ -342,6 +342,13 @@ class TestSweep:
         for col in ("psnr_db", "mse", "rel_err", "per"):
             assert abs(float(sweep_row[col]) - float(single_row[col])) < 1e-12
 
+    def test_s3dsvd_rows_share_one_fit_time(self, blob_volume):
+        # Every row is charged its fit time only, as tucker and cpd rows are.
+        x = volume_io.read_volume(blob_volume)
+        rows = cli.run_sweep(x, ["s3dsvd"], [2, 4, 6]).rows
+        times = {row["time_s"] for row in rows}
+        assert len(rows) == 3 and len(times) == 1
+
     def test_per_threshold_reported_on_stderr(self, blob_volume, tmp_path, capsys):
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",
                 "--ks", "2,4", "--csv", tmp_path / "s.csv")
@@ -480,6 +487,21 @@ class TestNonFiniteModel:
         self._assert_one_numeric_line(capsys)
 
 
+class TestQsigmaMismatch:
+    def test_metrics_exits_4(self, blob_volume, tmp_path, capsys):
+        model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
+        data = bytearray(volume_io.model_to_bytes(model))
+        struct.pack_into("<d", data, len(data) - 8, 123.0)
+        path = tmp_path / "qsigma.s3dm"
+        path.write_bytes(bytes(data))
+        assert run_cli("metrics", "--input", blob_volume, "--model", path,
+                       "--k", "1", "--csv", tmp_path / "m.csv") == 4
+        assert capsys.readouterr().err == (
+            "volrank: error: NumericError: qsigma differs from the core diagonal"
+            " at index 3\n"
+        )
+
+
 def _huge_volume(tmp_path):
     """A finite volume whose CPD normal equations overflow float64."""
     path = tmp_path / "huge.s3dv"
@@ -540,6 +562,22 @@ class TestOverflow:
         lines = done.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("volrank: error: NumericError: ")
+
+    def test_psnr_overflow_exits_4(self, blob_volume, tmp_path):
+        # An off-diagonal core entry leaves qsigma valid, so the one error
+        # line comes from the overflowed mse.
+        model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
+        data = bytearray(volume_io.model_to_bytes(model))
+        struct.pack_into("<d", data, 24 + 8 * model.r * sum(model.dims) + 8, 1e300)
+        path = tmp_path / "offdiag.s3dm"
+        path.write_bytes(bytes(data))
+        done = _cli_subprocess(
+            ["metrics", "--input", blob_volume, "--model", path, "--k", "4"]
+        )
+        assert done.returncode == 4
+        assert done.stderr == (
+            "volrank: error: NumericError: psnr is undefined for peak 1.0 and mse inf\n"
+        )
 
 
 class TestImportCost:

@@ -368,3 +368,45 @@ class TestWritersRejectNonFinite:
         with pytest.raises(ValueError):
             volume_io.write_volume(tmp_path / "w.s3dv", np.zeros((2, 2, 2)), "int8")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestQsigmaIsCoreDiagonal:
+    # per and select_rank_by_per read qsigma, reconstruct reads the core; a
+    # file where they disagree would load with a wrong PER curve.
+    MESSAGE = "qsigma differs from the core diagonal at index 2"
+
+    @staticmethod
+    def _mismatched():
+        model = _fitted("s3dsvd")
+        data = bytearray(volume_io.model_to_bytes(model))
+        pos, count = _block_offsets(model)["qsigma"]
+        struct.pack_into("<d", data, pos + 8 * (count - 1), 123.0)
+        return model, bytes(data)
+
+    @pytest.mark.parametrize("level", [None, 1])
+    def test_reader_names_the_first_index(self, level):
+        model, data = self._mismatched()
+        assert model.r == 3
+        with pytest.raises(errors.NumericError) as exc:
+            volume_io.model_from_bytes(data, level=level)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_writer_refuses_the_same_model(self):
+        model, _ = self._mismatched()
+        qsigma = model.qsigma.copy()
+        qsigma[-1] = 123.0
+        with pytest.raises(errors.NumericError) as exc:
+            volume_io.model_to_bytes(dataclasses.replace(model, qsigma=qsigma))
+        assert str(exc.value) == self.MESSAGE
+
+    def test_structure_level_and_finiteness_come_first(self):
+        model, data = self._mismatched()
+        with pytest.raises(errors.ParseError):
+            volume_io.model_from_bytes(data + b"\x00")
+        with pytest.raises(ValueError) as exc:
+            volume_io.model_from_bytes(data, level=9)
+        assert not isinstance(exc.value, errors.NumericError)
+        nan = bytearray(data)
+        struct.pack_into("<d", nan, 24, math.nan)
+        with pytest.raises(errors.NumericError, match="factor matrix u1"):
+            volume_io.model_from_bytes(bytes(nan))
