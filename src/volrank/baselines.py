@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DegenerateInputError, NumericError
-from .s3dsvd import decompose, expand
+from .s3dsvd import contract, decompose, expand
 from .tensor_core import (
     _check_finite,
     _check_level,
@@ -126,7 +126,24 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
     """
     x = as_tensor3(x)
     hosvd = decompose(x, k)
-    k = hosvd.r
+    return _hooi(x, hosvd, hosvd.r, max_iters, tol)
+
+
+def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
+    """HOOI at rank ``k`` from the leading ``k`` columns of the HOSVD ``hosvd``.
+
+    :func:`mode_factor` keeps the leading columns of one full SVD, so for
+    any ``hosvd = decompose(x, r)`` with ``r >= k`` those columns are
+    ``decompose(x, k)``'s factors.  Below ``r`` the core is contracted
+    afresh from them, never sliced from ``hosvd.core``, so the fit equals
+    ``tucker_decompose(x, k)`` bit for bit.
+    """
+    x = as_tensor3(x)
+    if k == hosvd.r:
+        factors, core = hosvd.factors, hosvd.core
+    else:
+        factors = tuple(u[:, :k].copy() for u in hosvd.factors)
+        core = contract(x, factors)
     normx = frobenius_norm(x)
 
     def relerr(core, factors):
@@ -134,7 +151,6 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
             return 0.0
         return frobenius_norm(x - expand(core, factors, k)) / normx
 
-    factors, core = hosvd.factors, hosvd.core
     history = [relerr(core, factors)]
     for _ in range(max_iters):
         _, u2, u3 = factors

@@ -39,33 +39,53 @@ class MetricsReport:
 
 
 def mse(x, xhat):
-    """Mean squared difference between ``x`` and ``xhat``."""
+    """Mean squared difference between ``x`` and ``xhat``.
+
+    ``inf`` where the squared residual overflows float64, as it does for
+    residuals above about 1e154.
+    """
     x, xhat = _check_pair(x, xhat)
-    d = (x - xhat).ravel()
-    return float(np.dot(d, d)) / d.size
+    d, sq = _residual(x, xhat)
+    return sq / d.size
+
+
+def _residual(x, xhat):
+    """``d = x - xhat`` and ``sq = ||d||**2``, which is ``inf`` if it overflows."""
+    d = x - xhat
+    with np.errstate(over="ignore"):  # an overflow is the inf its callers test
+        sq = float(np.dot(d.ravel(), d.ravel()))
+    return d, sq
 
 
 def psnr(x, xhat):
     """Peak signal-to-noise ratio in dB, with peak taken from ``x``.
 
     ``10 * log10(max(x)**2 / mse)``; an exact reconstruction yields
-    ``math.inf``.  A non-positive peak leaves the ratio meaningless, and a
-    peak or mse that overflows float64 leaves it infinite, zero or NaN.
+    ``math.inf``.  Where ``max(x)**2`` or the mse overflows float64, both
+    are rescaled by the largest residual magnitude, as
+    :func:`volrank.tensor_core.frobenius_norm` does.  A non-positive peak
+    leaves the ratio meaningless, and a ratio beyond float64 leaves it
+    infinite or zero.
     """
     x, xhat = _check_pair(x, xhat)
-    return _psnr(x, mse(x, xhat))
+    return _psnr(x, *_residual(x, xhat))
 
 
-def _psnr(x, err):
-    """PSNR of a reconstruction of ``x`` whose mse is ``err``."""
+def _psnr(x, d, sq):
+    """PSNR of a reconstruction of ``x`` with residual ``d`` and ``sq = ||d||**2``."""
     peak = float(np.max(x))
     if peak <= 0.0:
         raise DegenerateInputError(
             f"psnr needs a positive peak in the reference volume, got max={peak}"
         )
-    if err == 0.0:
+    if sq == 0.0:
         return math.inf
+    err = sq / d.size
     ratio = peak * peak / err
+    if math.isinf(peak * peak) or math.isinf(err):
+        # A square overflowed, not necessarily the ratio.
+        q = peak / frobenius_norm(d)
+        ratio = d.size * q * q
     if not 0.0 < ratio < math.inf:
         raise NumericError(f"psnr is undefined for peak {peak} and mse {err}")
     return 10.0 * math.log10(ratio)
@@ -93,15 +113,14 @@ def score(x, xhat, method, k, per=None, elapsed_seconds=None):
     :func:`psnr`, :func:`mse` and :func:`rel_err` return.
     """
     x, xhat = _check_pair(x, xhat)
-    d = (x - xhat).ravel()
-    sq = float(np.dot(d, d))
-    err = sq / d.size
+    d, sq = _residual(x, xhat)
+    normd = math.sqrt(sq) if sq < math.inf else frobenius_norm(d)
     return MetricsReport(
         method=method,
         k=k,
-        psnr_db=_psnr(x, err),
-        mse=err,
-        rel_err=math.sqrt(sq) / _reference_norm(x),
+        psnr_db=_psnr(x, d, sq),
+        mse=sq / d.size,
+        rel_err=normd / _reference_norm(x),
         per=per,
         elapsed_seconds=elapsed_seconds,
     )

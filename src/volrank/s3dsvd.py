@@ -31,9 +31,7 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "CoeffArray",
     "S3dModel",
-    "coeff_array",
     "decompose",
     "diagonal_expansion",
     "epsilon_r",
@@ -69,14 +67,6 @@ class S3dModel:
     factors: tuple
     core: np.ndarray
     qsigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoeffArray:
-    """Diagonal coefficient tensor: ``s[i, i, i] = qsigma[i]``, zero elsewhere."""
-
-    r: int
-    s: np.ndarray
 
 
 def decompose(x, r):
@@ -145,15 +135,6 @@ def epsilon_r(model, x, k):
     and its square root turns one ulp into about 1e-8.
     """
     return metrics.rel_err(x, diagonal_expansion(model, k))
-
-
-def coeff_array(model):
-    """Materialize the quasi-singular coefficients as a diagonal tensor."""
-    r = model.r
-    s = np.zeros((r, r, r))
-    idx = np.arange(r)
-    s[idx, idx, idx] = model.qsigma
-    return CoeffArray(r=r, s=s)
 
 
 def ordering_report(model):

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .baselines import CpModel, TuckerModel
-from .errors import DegenerateInputError, NumericError, ParseError, ShapeError
+from .errors import NumericError, ParseError, ShapeError
 from .s3dsvd import S3dModel, expand
 from .tensor_core import _check_finite, _check_level, as_tensor3
 
@@ -32,7 +32,6 @@ __all__ = [
     "gen_synthetic",
     "model_from_bytes",
     "model_to_bytes",
-    "normalize_01",
     "read_model",
     "read_volume",
     "volume_from_bytes",
@@ -241,16 +240,6 @@ def write_model(path, model):
 def read_model(path, level=None):
     with open(path, "rb") as fh:
         return model_from_bytes(fh.read(), level=level)
-
-
-def normalize_01(x):
-    """Affinely rescale ``x`` onto [0, 1]; constant volumes are degenerate."""
-    x = as_tensor3(x)
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    if hi == lo:
-        raise DegenerateInputError("cannot normalize a constant volume")
-    return (x - lo) / (hi - lo)
 
 
 def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):

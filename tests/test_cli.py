@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -348,6 +349,86 @@ class TestSweep:
         rows = cli.run_sweep(x, ["s3dsvd"], [2, 4, 6]).rows
         times = {row["time_s"] for row in rows}
         assert len(rows) == 3 and len(times) == 1
+
+    def test_tucker_rows_equal_standalone_fits(self, blob_volume, monkeypatch):
+        # Every k starts HOOI from the one decompose at max(ks).
+        x = volume_io.read_volume(blob_volume)
+        fitted = {}
+        hooi = baselines._hooi
+
+        def record(x, hosvd, k, *args, **kwargs):
+            fitted[k] = hooi(x, hosvd, k, *args, **kwargs)
+            return fitted[k]
+
+        monkeypatch.setattr(baselines, "_hooi", record)
+        cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 3, 5])
+        assert sorted(fitted) == [2, 3, 5]
+        for k, model in fitted.items():
+            alone = baselines.tucker_decompose(x, k)
+            assert model.rank == alone.rank == k
+            for got, want in zip(model.factors, alone.factors):
+                assert np.array_equal(got, want)
+            assert np.array_equal(model.core, alone.core)
+            assert model.fit_history == alone.fit_history
+
+    @pytest.mark.parametrize(
+        "methods, calls",
+        [(["s3dsvd", "tucker"], 1), (["tucker"], 1), (["tucker", "cpd", "s3dsvd"], 1),
+         (["cpd"], 0)],
+    )
+    def test_one_decompose_per_sweep(self, blob_volume, monkeypatch, methods, calls):
+        x = volume_io.read_volume(blob_volume)
+        ranks = []
+        decompose = s3dsvd.decompose
+
+        def counted(x, r):
+            ranks.append(r)
+            return decompose(x, r)
+
+        monkeypatch.setattr(s3dsvd, "decompose", counted)
+        monkeypatch.setattr(baselines, "decompose", counted)
+        rows = cli.run_sweep(x, methods, [2, 4], seeds=(0,)).rows
+        assert len(rows) == 2 * len(methods)
+        assert ranks == [4] * calls
+
+    def test_tucker_rows_carry_the_whole_decompose(self, blob_volume, monkeypatch):
+        # A slow decompose makes its share of each row plain to see.
+        x = volume_io.read_volume(blob_volume)
+        decompose = s3dsvd.decompose
+
+        def slow(x, r):
+            time.sleep(0.2)
+            return decompose(x, r)
+
+        monkeypatch.setattr(s3dsvd, "decompose", slow)
+        rows = cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 4, 6]).rows
+        decompose_s = sum(row["time_s"] for row in rows if row["method"] == "s3dsvd")
+        tucker = [row["time_s"] for row in rows if row["method"] == "tucker"]
+        assert len(tucker) == 3
+        assert all(t >= decompose_s for t in tucker)
+
+    def test_csv_identical_across_volrank_threads(self, blob_volume, tmp_path,
+                                                  monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VOLRANK_THREADS", threads)
+            out = tmp_path / f"threads-{threads}.csv"
+            assert run_cli("sweep", "--input", blob_volume,
+                           "--method", "s3dsvd,tucker,cpd", "--ks", "2,3,5",
+                           "--seeds", "0,1,2", "--csv", out, "--no-timing") == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("methods", ["s3dsvd,tucker", "tucker"])
+    def test_max_ks_beyond_volume_exits_2(self, blob_volume, tmp_path, capsys,
+                                         methods):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--input", blob_volume, "--method", methods,
+                       "--ks", "2,13", "--csv", out) == 2
+        assert capsys.readouterr().err == (
+            "volrank: error: ValueError: r must satisfy 1 <= r <= 12, got 13\n"
+        )
+        assert not out.exists()
 
     def test_per_threshold_reported_on_stderr(self, blob_volume, tmp_path, capsys):
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestPsnr:
         with np.errstate(over="ignore"):
             with pytest.raises(errors.NumericError, match="psnr is undefined"):
                 metrics.psnr(x, xhat)
+
+    def test_huge_volume_has_the_psnr_of_its_unscaled_copy(self):
+        # Above about 1e154 the squared residual and peak**2 overflow
+        # float64, but their ratio does not.
+        rng = np.random.default_rng(7)
+        y = rng.random((8, 8, 8))
+        yhat = s3dsvd.reconstruct(s3dsvd.decompose(y, 2), 2)
+        c = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = metrics.psnr(c * y, c * yhat)
+        assert math.isfinite(got)
+        assert abs(got - metrics.psnr(y, yhat)) < 1e-9
+        assert metrics.mse(c * y, c * yhat) == math.inf
 
     def test_strictly_decreasing_in_mse(self):
         x = np.ones((4, 4, 4))
@@ -231,6 +246,16 @@ class TestScore:
         report = metrics.score(x, x.copy(), "recon", 0)
         assert report.psnr_db == math.inf
         assert report.mse == 0.0
+
+    def test_huge_volume_matches_the_single_metrics(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((8, 8, 8)) * 1e160
+        xhat = s3dsvd.reconstruct(s3dsvd.decompose(x, 2), 2)
+        report = metrics.score(x, xhat, "s3dsvd", 2)
+        assert math.isfinite(report.psnr_db)
+        assert report.psnr_db == metrics.psnr(x, xhat)
+        assert report.mse == metrics.mse(x, xhat) == math.inf
+        assert report.rel_err == metrics.rel_err(x, xhat)
 
     def test_raises_what_psnr_raises(self):
         with pytest.raises(errors.DegenerateInputError):

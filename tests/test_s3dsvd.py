@@ -244,30 +244,6 @@ class TestEpsilonR:
         assert np.isfinite(eps) and eps < 1e-12
 
 
-class TestCoeffArray:
-    def test_two_coefficients(self):
-        x, _, _ = exact_multirank((6, 7, 8), rho=2, seed=17, diagonal_core=True)
-        model = s3dsvd.decompose(x, 2)
-        arr = s3dsvd.coeff_array(model)
-        assert arr.r == 2
-        assert arr.s[0, 0, 0] == model.qsigma[0]
-        assert arr.s[1, 1, 1] == model.qsigma[1]
-        off_diag = arr.s.copy()
-        off_diag[0, 0, 0] = 0.0
-        off_diag[1, 1, 1] = 0.0
-        assert np.array_equal(off_diag, np.zeros((2, 2, 2)))
-
-    def test_zero_model(self):
-        model = s3dsvd.decompose(np.zeros((3, 4, 5)), 2)
-        assert np.array_equal(s3dsvd.coeff_array(model).s, np.zeros((2, 2, 2)))
-
-    def test_diagonal_roundtrip(self):
-        rng = np.random.default_rng(18)
-        model = s3dsvd.decompose(rng.standard_normal((5, 6, 7)), 4)
-        arr = s3dsvd.coeff_array(model)
-        assert np.array_equal(np.einsum("iii->i", arr.s), model.qsigma)
-
-
 class TestOrderingReport:
     @staticmethod
     def _model_with_qsigma(values):

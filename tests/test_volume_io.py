@@ -195,28 +195,6 @@ class TestModelRoundtrip:
             volume_io.model_from_bytes(data + b"\x00")
 
 
-class TestNormalize01:
-    def test_affine_map(self):
-        x = np.full((2, 2, 2), 15.0)
-        x[0, 0, 0] = 10.0
-        x[1, 1, 1] = 20.0
-        got = volume_io.normalize_01(x)
-        assert got[0, 0, 0] == 0.0
-        assert got[1, 1, 1] == 1.0
-        assert got[0, 1, 0] == 0.5
-
-    def test_already_normalized_unchanged(self):
-        rng = np.random.default_rng(4)
-        x = rng.random((4, 4, 4))
-        x.flat[0] = 0.0
-        x.flat[-1] = 1.0
-        assert np.allclose(volume_io.normalize_01(x), x, atol=1e-16)
-
-    def test_constant_volume_degenerate(self):
-        with pytest.raises(errors.DegenerateInputError):
-            volume_io.normalize_01(np.full((3, 3, 3), 2.5))
-
-
 class TestGenSynthetic:
     def test_multirank_exact_recovery(self):
         x = volume_io.gen_synthetic("multirank", (20, 22, 24), seed=0, rho=4)
