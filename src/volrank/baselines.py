@@ -334,16 +334,14 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
         results = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)
     runs = tuple(run for run, _ in results)
     unconverged = tuple(run[0] for run, converged in results if not converged)
-    samples = {
-        "psnr_db": [report.psnr_db for _, report, _ in runs],
-        "mse": [report.mse for _, report, _ in runs],
-        "rel_err": [report.rel_err for _, report, _ in runs],
-        "time_s": [elapsed for _, _, elapsed in runs],
-    }
     mean = {}
     halfwidth = {}
     for key in STUDY_METRIC_KEYS:
-        mean[key], halfwidth[key] = _aggregate(samples[key])
+        samples = [
+            elapsed if key == "time_s" else getattr(report, key)
+            for _, report, elapsed in runs
+        ]
+        mean[key], halfwidth[key] = _aggregate(samples)
     return CpStudy(
         k=k,
         seeds=seeds,

@@ -16,7 +16,6 @@ Floats are written with ``repr``'s shortest round-trip formatting, with
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -42,14 +41,7 @@ DEFAULT_SEEDS = tuple(range(10))
 
 def _fmt(value):
     """Shortest round-trip decimal form; empty for missing cells."""
-    if value is None:
-        return ""
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
+    return "" if value is None else repr(float(value))
 
 
 def _int_list(text, what, minimum=0):
@@ -118,8 +110,17 @@ class SweepResult:
     rows: tuple
 
 
-def _report_to_row(report, ci=None):
-    row = {
+# The CSV column that holds each study metric's confidence half-width.
+_CI_COLUMNS = {
+    "psnr_db": "psnr_ci",
+    "mse": "mse_ci",
+    "rel_err": "relerr_ci",
+    "time_s": "time_ci",
+}
+
+
+def _report_to_row(report):
+    return {
         "method": report.method,
         "k": report.k,
         "psnr_db": report.psnr_db,
@@ -127,30 +128,22 @@ def _report_to_row(report, ci=None):
         "rel_err": report.rel_err,
         "per": report.per,
         "time_s": report.elapsed_seconds,
-        "psnr_ci": None,
-        "mse_ci": None,
-        "relerr_ci": None,
-        "time_ci": None,
+        **dict.fromkeys(_CI_COLUMNS.values()),
     }
-    if ci is not None:
-        row["psnr_ci"] = ci["psnr_db"]
-        row["mse_ci"] = ci["mse"]
-        row["relerr_ci"] = ci["rel_err"]
-        row["time_ci"] = ci["time_s"]
-    return row
 
 
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     """Benchmark ``methods`` at every k in ``ks`` against volume ``x``.
 
     Every row's time is fit time only.  s3dsvd and tucker share one
-    ``decompose(x, max(ks))``, computed when the first of them runs.
-    s3dsvd truncates it per k, charging each row an equal share of its
-    time.  Each tucker k starts HOOI from its leading k factor columns,
-    which are ``decompose(x, k)``'s, and is charged the whole decompose
-    time plus its own HOOI time: what a standalone ``tucker_decompose``
-    costs.  cpd refits per k, each row aggregating one run per seed, with
-    ``threads`` capping study parallelism.
+    ``decompose(x, max(ks))``, computed before any row, so a level beyond
+    the volume fails before any method is fitted.  s3dsvd truncates it
+    per k, charging each row an equal share of its time.  Each tucker k
+    starts HOOI from its leading k factor columns, which are
+    ``decompose(x, k)``'s, and is charged the whole decompose time plus
+    its own HOOI time: what a standalone ``tucker_decompose`` costs.  cpd
+    refits per k, each row aggregating one run per seed, with ``threads``
+    capping study parallelism.
     """
 
     def say(message):
@@ -158,12 +151,11 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
             print(message, file=log)
 
     rows = []
-    hosvd = None
+    if "s3dsvd" in methods or "tucker" in methods:
+        start = time.perf_counter()
+        hosvd = s3dsvd.decompose(x, max(ks))
+        hosvd_s = time.perf_counter() - start
     for method in methods:
-        if method != "cpd" and hosvd is None:
-            start = time.perf_counter()
-            hosvd = s3dsvd.decompose(x, max(ks))
-            hosvd_s = time.perf_counter() - start
         if method == "s3dsvd":
             for k in ks:
                 xhat = s3dsvd.reconstruct(hosvd, k)
@@ -188,16 +180,8 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         else:
             for k in ks:
                 study = baselines.cpd_study(x, k, seeds, threads=threads)
-                report = metrics.MetricsReport(
-                    method="cpd",
-                    k=k,
-                    psnr_db=study.mean["psnr_db"],
-                    mse=study.mean["mse"],
-                    rel_err=study.mean["rel_err"],
-                    per=None,
-                    elapsed_seconds=study.mean["time_s"],
-                )
-                rows.append(_report_to_row(report, ci=study.ci_halfwidth))
+                ci = {_CI_COLUMNS[m]: h for m, h in study.ci_halfwidth.items()}
+                rows.append({"method": "cpd", "k": k, **study.mean, "per": None, **ci})
                 stuck = study.unconverged
                 say(
                     f"sweep method=cpd k={k} done ({len(seeds)} seeds,"
@@ -282,17 +266,18 @@ def _reconstruct_model(model, k):
 
 def _cmd_reconstruct(args):
     model = volume_io.read_model(args.input)
+    slices = args.slices or ()
+    n3 = model.dims[2]
+    for index in slices:
+        if index >= n3:
+            raise ValueError(f"slice index {index} out of range for n3={n3}")
     _, _, xhat = _reconstruct_model(model, args.k)
     volume_io.write_volume(args.output, xhat)
-    if args.slices:
-        n3 = xhat.shape[2]
-        for index in args.slices:
-            if index >= n3:
-                raise ValueError(f"slice index {index} out of range for n3={n3}")
-            path = f"{args.output}.slice{index}.txt"
-            with open(path, "w") as fh:
-                for row in xhat[:, :, index]:
-                    fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    for index in slices:
+        path = f"{args.output}.slice{index}.txt"
+        with open(path, "w") as fh:
+            for row in xhat[:, :, index]:
+                fh.write(" ".join(_fmt(v) for v in row) + "\n")
     return EXIT_OK
 
 
@@ -334,10 +319,14 @@ def _cmd_sweep(args):
 
 
 def _read_sweep_csv(path):
-    with open(path, "r", newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    rows = list(reader)
+    """``([(line number, row dict)], header)`` of a CSV, skipping ``#`` lines."""
+    try:
+        with open(path, "r", newline="") as fh:
+            numbered = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CSV is not text: {exc.reason}") from None
+    reader = csv.DictReader(line for _, line in numbered)
+    rows = [(numbered[reader.line_num - 1][0], row) for row in reader]
     if reader.fieldnames is None:
         raise ParseError("empty CSV: no header row", offset=0)
     return rows, reader.fieldnames
@@ -350,10 +339,18 @@ def _cmd_plotdata(args):
         if required not in fields:
             raise ParseError(f"CSV is missing required column {required!r}")
     points = []
-    for row in rows:
+    for line, row in rows:
         if row["method"] != "s3dsvd" or not row[column]:
             continue
-        points.append((int(row["k"]), float(row[column])))
+        point = []
+        for name, kind in (("k", int), (column, float)):
+            try:
+                point.append(kind(row[name]))
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"CSV line {line}: malformed {name!r} value {row[name]!r}"
+                ) from None
+        points.append(tuple(point))
     if not points:
         raise ParseError(f"CSV has no s3dsvd rows with a {column!r} value")
     points.sort()

@@ -94,16 +94,15 @@ def _psnr(x, d, sq):
 def rel_err(x, xhat):
     """Relative Frobenius error ``||x - xhat|| / ||x||``."""
     x, xhat = _check_pair(x, xhat)
-    normx = _reference_norm(x)
-    return frobenius_norm(x - xhat) / normx
+    return _rel_err(x, *_residual(x, xhat))
 
 
-def _reference_norm(x):
-    """``||x||``, the denominator of :func:`rel_err`; zero is degenerate."""
+def _rel_err(x, d, sq):
+    """``||d|| / ||x||`` for residual ``d``, ``sq = ||d||**2``; a zero ``x`` raises."""
     normx = frobenius_norm(x)
     if normx == 0.0:
         raise DegenerateInputError("rel_err is undefined for a zero reference")
-    return normx
+    return (math.sqrt(sq) if sq < math.inf else frobenius_norm(d)) / normx
 
 
 def score(x, xhat, method, k, per=None, elapsed_seconds=None):
@@ -114,13 +113,12 @@ def score(x, xhat, method, k, per=None, elapsed_seconds=None):
     """
     x, xhat = _check_pair(x, xhat)
     d, sq = _residual(x, xhat)
-    normd = math.sqrt(sq) if sq < math.inf else frobenius_norm(d)
     return MetricsReport(
         method=method,
         k=k,
         psnr_db=_psnr(x, d, sq),
         mse=sq / d.size,
-        rel_err=normd / _reference_norm(x),
+        rel_err=_rel_err(x, d, sq),
         per=per,
         elapsed_seconds=elapsed_seconds,
     )

@@ -125,6 +125,9 @@ class TestTuckerDecompose:
         with pytest.raises(errors.NumericError):
             baselines.tucker_decompose(x, 2)
 
+    def test_zero_volume_has_zero_error(self):
+        assert baselines.tucker_decompose(np.zeros((4, 5, 6)), 2).fit_history == (0.0, 0.0)
+
 
 def test_no_fit_builds_an_unfolding(monkeypatch):
     def forbidden(*args, **kwargs):

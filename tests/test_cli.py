@@ -154,6 +154,18 @@ class TestReconstruct:
         assert run_cli("reconstruct", "--input", model_path, "--k", "2",
                        "--output", tmp_path / "r.s3dv", "--slices", "99") == 2
 
+    def test_out_of_range_slice_writes_no_file(self, blob_volume, tmp_path, capsys):
+        model_path = tmp_path / "m.s3dm"
+        run_cli("decompose", "--input", blob_volume, "--method", "s3dsvd",
+                "--rank", "3", "--output", model_path)
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--input", model_path, "--k", "3",
+                       "--output", tmp_path / "r.s3dv", "--slices", "0,5,999") == 2
+        assert capsys.readouterr().err == (
+            "volrank: error: ValueError: slice index 999 out of range for n3=14\n"
+        )
+        assert list(tmp_path.glob("r.s3dv*")) == []
+
 
 class TestMetricsCommand:
     def test_model_and_recon_paths_agree(self, blob_volume, tmp_path):
@@ -247,6 +259,13 @@ class TestMetricsCommand:
         assert run_cli("metrics", "--input", vol, "--model", model_path,
                        "--k", "1") == 4
         assert "DegenerateInputError" in capsys.readouterr().err
+
+    def test_row_goes_to_stdout_without_csv(self, blob_volume, capsys):
+        assert run_cli("metrics", "--input", blob_volume, "--recon", blob_volume,
+                       "--no-timing") == 0
+        assert capsys.readouterr().out == (
+            "method,k,psnr_db,mse,rel_err,per\nrecon,0,inf,0.0,0.0,\n"
+        )
 
     def test_infinite_psnr_spelled_inf(self, blob_volume, tmp_path):
         out = tmp_path / "m.csv"
@@ -419,7 +438,8 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("methods", ["s3dsvd,tucker", "tucker"])
+    # The shared decompose runs before any row, so cpd listed first fits nothing.
+    @pytest.mark.parametrize("methods", ["s3dsvd,tucker", "tucker", "cpd,s3dsvd"])
     def test_max_ks_beyond_volume_exits_2(self, blob_volume, tmp_path, capsys,
                                          methods):
         out = tmp_path / "s.csv"
@@ -448,6 +468,36 @@ class TestSweep:
     def test_unknown_method_exits_2(self, blob_volume, tmp_path):
         assert run_cli("sweep", "--input", blob_volume, "--method", "hosvd",
                        "--ks", "2", "--csv", tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seeds", "0,x"), ("--seeds", "0,-1"), ("--method", ","),
+         ("--method", "s3dsvd,s3dsvd")],
+    )
+    def test_bad_seeds_or_methods_exit_2(self, blob_volume, tmp_path, flag, value):
+        args = {"--method": "cpd", "--seeds": "0", flag: value}
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--input", blob_volume, "--ks", "2", "--csv", out,
+                       *[part for pair in args.items() for part in pair]) == 2
+        assert not out.exists()
+
+    def test_non_integer_volrank_threads_exits_2(self, blob_volume, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv("VOLRANK_THREADS", "two")
+        assert run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",
+                       "--ks", "2", "--csv", tmp_path / "s.csv") == 2
+        assert capsys.readouterr().err == (
+            "volrank: error: ValueError: VOLRANK_THREADS must be an integer,"
+            " got 'two'\n"
+        )
+
+    def test_csv_goes_to_stdout_without_csv(self, blob_volume, capsys):
+        assert run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",
+                       "--ks", "2,4", "--no-timing") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "method,k,psnr_db,mse,rel_err,per"
+        assert [line.split(",")[:2] for line in out[1:]] == [["s3dsvd", "2"],
+                                                             ["s3dsvd", "4"]]
 
     def test_unconverged_cpd_seeds_reported_on_stderr(self, blob_volume, tmp_path,
                                                        monkeypatch, capsys):
@@ -523,6 +573,60 @@ class TestPlotdata:
         assert run_cli("plotdata", "--csv", bad, "--curve", "per",
                        "--output", tmp_path / "o.txt") == 3
 
+    def test_curve_goes_to_stdout_without_output(self, blob_volume, tmp_path, capsys):
+        sweep_csv = self._sweep(blob_volume, tmp_path)
+        out = tmp_path / "curve.txt"
+        assert run_cli("plotdata", "--csv", sweep_csv, "--curve", "psnr",
+                       "--output", out) == 0
+        capsys.readouterr()
+        assert run_cli("plotdata", "--csv", sweep_csv, "--curve", "psnr") == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_empty_file_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run_cli("plotdata", "--csv", empty, "--curve", "per") == 3
+        assert capsys.readouterr().err == (
+            "volrank: error: ParseError: empty CSV: no header row"
+            " (at byte offset 0)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("s3dsvd,two,22.0,0.008,0.4,0.7", "malformed 'k' value 'two'"),
+         ("s3dsvd,,22.0,0.008,0.4,0.7", "malformed 'k' value ''"),
+         ("s3dsvd,4,22.0,0.008,0.4,half", "malformed 'per' value 'half'")],
+    )
+    def test_malformed_cell_exits_3(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("method,k,psnr_db,mse,rel_err,per\n"
+                       "s3dsvd,2,20.0,0.01,0.5,0.4\n"
+                       "# a comment line still counts\n"
+                       f"{row}\n")
+        out = tmp_path / "o.txt"
+        assert run_cli("plotdata", "--csv", bad, "--curve", "per", "--output", out) == 3
+        assert capsys.readouterr().err == (
+            f"volrank: error: ParseError: CSV line 4: {message}\n"
+        )
+        assert not out.exists()
+
+    def test_no_s3dsvd_rows_exits_3(self, tmp_path, capsys):
+        tucker_only = tmp_path / "tucker.csv"
+        tucker_only.write_text("method,k,psnr_db,mse,rel_err,per\n"
+                               "tucker,2,20.0,0.01,0.5,\n")
+        assert run_cli("plotdata", "--csv", tucker_only, "--curve", "psnr") == 3
+        assert capsys.readouterr().err == (
+            "volrank: error: ParseError: CSV has no s3dsvd rows with a 'psnr_db' value\n"
+        )
+
+    def test_undecodable_file_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"method,k,per\ns3dsvd,2,\xff\n")
+        assert run_cli("plotdata", "--csv", bad, "--curve", "per") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("volrank: error: ParseError: CSV is not text:")
+        assert err.count("\n") == 1
+
 
 class TestErrorSurface:
     def test_error_line_is_single_line(self, tmp_path, capsys):
@@ -537,6 +641,17 @@ class TestErrorSurface:
     def test_unwritable_output_exits_5(self, blob_volume, tmp_path):
         assert run_cli("gen", "--kind", "blobs", "--dims", "4,4,4",
                        "--output", tmp_path / "no_such_dir" / "x.s3dv") == 5
+
+    def test_entry_point_exits_with_mains_code(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["volrank", "sweep", "--ks", "2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == 2
+
+    def test_module_run_with_bad_arguments_exits_2(self):
+        result = _cli_subprocess(["sweep", "--ks", "2"])
+        assert result.returncode == 2
+        assert "required" in result.stderr
 
 
 class TestNonFiniteModel:

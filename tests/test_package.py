@@ -1,6 +1,9 @@
-"""The package's public surface is the union of its modules' ``__all__``."""
+"""The package's public surface is the union of its modules' ``__all__``,
+and no module imports a name it does not use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import volrank
 
@@ -22,3 +25,19 @@ def test_each_name_is_its_module_object():
     for module in _modules():
         for name in module.__all__:
             assert getattr(volrank, name) is getattr(module, name)
+
+
+def test_every_module_level_import_is_used():
+    # A stdlib stand-in for a linter's unused-import rule.
+    for path in sorted(Path(volrank.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name

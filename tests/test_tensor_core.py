@@ -152,6 +152,14 @@ class TestUnfoldFold:
         with pytest.raises(errors.ShapeError):
             tc.fold(np.ones((2, 5)), 1, (2, 2, 2))
 
+    def test_fold_rejects_two_dims(self):
+        with pytest.raises(errors.ShapeError):
+            tc.fold(np.ones((2, 4)), 1, (2, 4))
+
+    def test_fold_rejects_a_non_matrix(self):
+        with pytest.raises(errors.ShapeError):
+            tc.fold(np.ones((2, 2, 2)), 1, (2, 2, 2))
+
     def test_fold_zero_matrix(self):
         assert np.array_equal(tc.fold(np.zeros((3, 8)), 1, (3, 2, 4)), np.zeros((3, 2, 4)))
 
@@ -189,6 +197,10 @@ class TestModeProduct:
     def test_inner_dimension_mismatch(self):
         with pytest.raises(errors.ShapeError):
             tc.mode_product(np.ones((3, 4, 5)), np.ones((2, 3)), 2)
+
+    def test_vector_matrix_rejected(self):
+        with pytest.raises(errors.ShapeError):
+            tc.mode_product(np.ones((3, 4, 5)), np.ones(4), 2)
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_matches_unfold_fold_product(self, mode):
@@ -311,6 +323,22 @@ class TestSvd:
         m[1, 1] = np.nan
         with pytest.raises(errors.NumericError):
             tc.svd(m)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3)])
+    def test_rejects_non_matrix_and_empty_shapes(self, shape):
+        with pytest.raises(errors.ShapeError):
+            tc.svd(np.ones(shape))
+
+    def test_numeric_error_when_both_drivers_fail(self, monkeypatch):
+        import scipy.linalg
+
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(tc.np.linalg, "svd", diverges)
+        monkeypatch.setattr(scipy.linalg, "svd", diverges)
+        with pytest.raises(errors.NumericError, match="both drivers"):
+            tc.svd(np.eye(3))
 
     def test_gesvd_fallback(self, monkeypatch):
         m = np.random.default_rng(9).standard_normal((6, 9))

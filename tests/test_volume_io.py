@@ -77,6 +77,13 @@ class TestVolumeParseErrors:
         assert exc.value.offset is not None
         assert "offset" in str(exc.value)
 
+    def test_zero_dim_names_offset_eight(self):
+        data = bytearray(self._valid_bytes())
+        struct.pack_into("<I", data, 12, 0)
+        with pytest.raises(errors.ParseError) as exc:
+            volume_io.volume_from_bytes(bytes(data))
+        assert exc.value.offset == 8
+
     def test_short_header(self):
         with pytest.raises(errors.ParseError):
             volume_io.volume_from_bytes(b"S3DV\x01\x00")
@@ -234,6 +241,14 @@ class TestGenSynthetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             volume_io.gen_synthetic("cubes", (4, 4, 4), seed=0)
+
+    @pytest.mark.parametrize(
+        "dims, kwargs",
+        [((4, 4), {}), ((4, 4, 4), {"blobs": 0}), ((4, 4, 4), {"noise": -0.1})],
+    )
+    def test_invalid_blobs_arguments(self, dims, kwargs):
+        with pytest.raises(ValueError):
+            volume_io.gen_synthetic("blobs_noisy", dims, seed=0, **kwargs)
 
 
 def _block_offsets(model):
