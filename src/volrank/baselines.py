@@ -291,7 +291,47 @@ def _study_run(x, k, seed, max_iters, tol):
     return (seed, report, elapsed), model.converged
 
 
-def _aggregate(values):
+def _t975(df):
+    """The 0.975 quantile of Student's t with ``df`` degrees of freedom, an integer.
+
+    ``A(t|df) = P(|T| <= t)`` is an exact finite series in
+    ``theta = atan(t / sqrt(df))`` (Abramowitz & Stegun 1964, 26.7.3 for
+    odd and 26.7.4 for even ``df``).  Bisection on ``theta`` in
+    ``(0, pi/2)`` solves ``A = 0.95`` until the interval stops shrinking;
+    the result agrees with ``scipy.special.stdtrit(df, 0.975)`` to about
+    1e-13 relative.
+    """
+    odd = df % 2
+
+    def coverage(theta):
+        # sum_j a_j cos(theta)**(2j) over j < df // 2, with a_0 = 1 and
+        # a_j / a_(j-1) = (2j - 1 + odd) / (2j + odd).
+        c, s = math.cos(theta), math.sin(theta)
+        term, total = 1.0, 0.0
+        for j in range(1, df // 2 + 1):
+            total += term
+            term *= (2 * j - 1 + odd) / (2 * j + odd) * c * c
+        if odd:
+            return 2.0 / math.pi * (theta + s * c * total)
+        return s * total
+
+    lo, hi = 0.0, math.pi / 2
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if coverage(mid) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
+
+
+def _aggregate(values, quantile):
+    """Sample mean and 95% half-width ``quantile * sd / sqrt(n)`` of ``values``.
+
+    ``quantile`` is ``_t975(n - 1)``; the half-width is NaN for one value
+    and 0.0 when all values agree.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     mean = float(np.mean(values))
@@ -300,14 +340,15 @@ def _aggregate(values):
     if np.all(values == values[0]):
         return mean, 0.0
     sd = float(np.std(values, ddof=1))
-    import scipy.special  # about 0.3 s of start-up, needed only here
-
-    quantile = float(scipy.special.stdtrit(n - 1, 0.975))
     return mean, quantile * sd / math.sqrt(n)
 
 
 def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     """Run one CPD fit per seed and aggregate the metrics.
+
+    Each metric gets its sample mean and 95% Student-t half-width; the
+    quantile ``_t975(len(seeds) - 1)`` is computed once, in the package,
+    and shared by all four.
 
     ``threads`` > 1 distributes the independent runs over a thread pool;
     results are identical to serial execution apart from wall-clock
@@ -334,6 +375,7 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
         results = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)
     runs = tuple(run for run, _ in results)
     unconverged = tuple(run[0] for run, converged in results if not converged)
+    quantile = _t975(len(runs) - 1) if len(runs) > 1 else math.nan
     mean = {}
     halfwidth = {}
     for key in STUDY_METRIC_KEYS:
@@ -341,7 +383,7 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
             elapsed if key == "time_s" else getattr(report, key)
             for _, report, elapsed in runs
         ]
-        mean[key], halfwidth[key] = _aggregate(samples)
+        mean[key], halfwidth[key] = _aggregate(samples, quantile)
     return CpStudy(
         k=k,
         seeds=seeds,

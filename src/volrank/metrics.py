@@ -17,6 +17,7 @@ __all__ = [
     "per",
     "psnr",
     "rel_err",
+    "score",
     "select_rank_by_per",
 ]
 

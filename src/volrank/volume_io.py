@@ -64,15 +64,25 @@ _LAYOUTS = {
 }
 
 
-def volume_to_bytes(x, dtype="float64"):
-    """Serialize a volume; ``dtype`` picks the payload precision."""
+def _volume_parts(x, dtype):
+    """Check a volume for writing; return its header and C-ordered payload array.
+
+    Raises ``ShapeError``, then ``NumericError`` for a non-finite value,
+    then ``ValueError`` for an unknown ``dtype``.
+    """
     x = as_tensor3(x)
     _check_finite(x, "volume")
     if dtype not in _DTYPE_NAMES:
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     code = _DTYPE_NAMES[dtype]
     header = VOLUME_MAGIC + struct.pack("<HHIII", FORMAT_VERSION, code, *x.shape)
-    return header + np.ascontiguousarray(x, dtype=_DTYPE_CODES[code]).tobytes(order="C")
+    return header, np.ascontiguousarray(x, dtype=_DTYPE_CODES[code])
+
+
+def volume_to_bytes(x, dtype="float64"):
+    """Serialize a volume; ``dtype`` picks the payload precision."""
+    header, payload = _volume_parts(x, dtype)
+    return header + payload.tobytes()
 
 
 def _read_header(data, kind, magic, size, codes, code_name):
@@ -109,9 +119,15 @@ def volume_from_bytes(data):
 
 
 def write_volume(path, x, dtype="float64"):
-    data = volume_to_bytes(x, dtype=dtype)
+    """Write ``volume_to_bytes(x, dtype)``'s bytes to ``path``.
+
+    Every check runs before the file is opened; the payload is written
+    from the array's own buffer, without a bytes copy.
+    """
+    header, payload = _volume_parts(x, dtype)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_volume(path):

@@ -474,13 +474,46 @@ class TestCpdStudy:
 
     def test_student_t_quantile_used(self):
         # Hand-check the half-width formula on a known sample via one
-        # metric: hw = t(0.975, n-1) * sd / sqrt(n). The loose rel
-        # tolerance absorbs the ~1e-10 accuracy of numerical quantile
-        # inversion while still ruling out a normal quantile (1.96) or
-        # the wrong degrees of freedom.
+        # metric: hw = t(0.975, n-1) * sd / sqrt(n), with t(0.975, 9) =
+        # 2.262157162798205 to 16 digits. The tolerance is the quantile's
+        # own accuracy, which rules out a normal quantile (1.96) or the
+        # wrong degrees of freedom by many orders.
         x, _ = rank_one_target(seed=21)
         study = baselines.cpd_study(x, 1, seeds=range(10))
         values = np.array([run[1].rel_err for run in study.runs])
         sd = float(np.std(values, ddof=1))
-        expected = 2.2621571627409915 * sd / math.sqrt(10)
-        assert study.ci_halfwidth["rel_err"] == pytest.approx(expected, rel=1e-6, abs=1e-300)
+        expected = 2.262157162798205 * sd / math.sqrt(10)
+        assert study.ci_halfwidth["rel_err"] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+class TestStudentTQuantile:
+    def test_closed_forms(self):
+        # df = 1 is Cauchy, t = tan(pi (p - 1/2)); df = 2 has
+        # t = (2p - 1) / sqrt(2 p (1 - p)).
+        assert baselines._t975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+        assert baselines._t975(2) == pytest.approx(
+            0.95 / math.sqrt(2 * 0.975 * 0.025), rel=1e-14
+        )
+
+    def test_agrees_with_scipy_stdtrit(self):
+        import scipy.special
+
+        dfs = np.arange(1, 1001)
+        ours = np.array([baselines._t975(int(df)) for df in dfs])
+        theirs = scipy.special.stdtrit(dfs, 0.975)
+        assert np.max(np.abs(ours / theirs - 1.0)) < 1e-12
+
+    def test_falls_with_df_and_stays_above_the_normal_quantile(self):
+        values = np.array([baselines._t975(df) for df in range(1, 1001)])
+        assert np.all(np.diff(values) < 0.0)
+        assert values[-1] > 1.959963984540054
+
+    def test_computed_once_per_study(self, monkeypatch):
+        calls = []
+        t975 = baselines._t975
+        monkeypatch.setattr(baselines, "_t975", lambda df: calls.append(df) or t975(df))
+        x, _ = rank_one_target(seed=21)
+        baselines.cpd_study(x, 1, seeds=range(4))
+        assert calls == [3]
+        baselines.cpd_study(x, 1, seeds=[0])
+        assert calls == [3]

@@ -778,8 +778,8 @@ class TestOverflow:
 
 class TestImportCost:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about half a second of every CLI call and the
-        # package needs only one Student-t quantile, from scipy.special.
+        # scipy.stats costs about half a second of every CLI call, and the
+        # package computes its one Student-t quantile itself.
         code = "import sys, volrank.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
@@ -788,8 +788,8 @@ class TestImportCost:
         assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_scipy_special_and_linalg_unloaded(self):
-        # Each is imported only by the function that uses it: the Student-t
-        # quantile of a CPD study and the SVD's gesvd fallback.
+        # scipy.linalg is imported only by the SVD's gesvd fallback, and
+        # scipy.special by nothing.
         code = (
             "import sys, volrank.cli; "
             "print([m in sys.modules for m in ('scipy.special', 'scipy.linalg')])"
@@ -799,3 +799,21 @@ class TestImportCost:
             text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "[False, False]"
+
+    def test_multi_seed_cpd_sweep_imports_no_scipy(self, blob_volume, tmp_path):
+        # Its confidence half-widths need the Student-t quantile, which the
+        # package computes without scipy.
+        code = (
+            "import sys; from volrank import cli; "
+            "code = cli.main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+        )
+        args = ["sweep", "--input", blob_volume, "--method", "cpd", "--ks", "2",
+                "--seeds", "0,1", "--csv", tmp_path / "cpd.csv"]
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "0 False"
+        rows = read_csv(tmp_path / "cpd.csv")
+        assert [row["method"] for row in rows] == ["cpd"]
+        assert float(rows[0]["psnr_ci"]) > 0.0

@@ -1,5 +1,6 @@
 """The package's public surface is the union of its modules' ``__all__``,
-and no module imports a name it does not use."""
+no module imports a name it does not use, and scipy is imported only where
+numpy has no substitute."""
 
 import ast
 import importlib
@@ -41,3 +42,27 @@ def test_every_module_level_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == [], path.name
+
+
+def _imports(node, scope=None):
+    """Yield ``(innermost enclosing function, module)`` for each absolute import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield scope, alias.name
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield scope, child.module
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _imports(child, inner)
+
+
+def test_scipy_is_imported_only_by_the_svd_fallback():
+    found = []
+    for path in sorted(Path(volrank.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            (path.name, scope, module)
+            for scope, module in _imports(tree)
+            if module.split(".")[0] == "scipy"
+        ]
+    assert found == [("tensor_core.py", "svd", "scipy.linalg")]

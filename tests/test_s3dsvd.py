@@ -1,9 +1,13 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from volrank import errors, s3dsvd, tensor_core as tc
+from volrank import errors, metrics, s3dsvd, tensor_core as tc, volume_io
+
+from test_cli import _subprocess_env
 
 
 def exact_multirank(dims, rho, seed=0, diagonal_core=False):
@@ -280,3 +284,46 @@ class TestOrderingReport:
             assert report[-1][2] is False
             violations += sum(1 for entry in report if entry[2])
         assert violations >= 0
+
+
+class TestBlasThreads:
+    """A fit agrees across OpenBLAS thread counts to a stated tolerance.
+
+    Threaded QR rounds differently, so the model bytes may differ; the
+    agreement rests on the retained singular values being well separated.
+    The smooth 96x128x160 blob volume at r = 8 has every gap among the
+    leading nine singular values of each unfolding above 8e-4 of the
+    largest; its factors agreed to 5e-15 across 1 and 2 threads.
+    """
+
+    DIMS, R = (96, 128, 160), 8
+    TOL = 1e-10
+    CHILD = (
+        "import sys; from volrank import decompose, read_volume, write_model; "
+        "write_model(sys.argv[2], decompose(read_volume(sys.argv[1]), int(sys.argv[3])))"
+    )
+
+    def _fit(self, volume, path, threads):
+        subprocess.run(
+            [sys.executable, "-c", self.CHILD, str(volume), str(path), str(self.R)],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=120,
+        )
+        return volume_io.read_model(path)
+
+    def test_one_and_two_threads_agree(self, tmp_path):
+        x = volume_io.gen_synthetic("blobs", self.DIMS, seed=0)
+        for mode in (1, 2, 3):
+            a = np.moveaxis(x, mode - 1, 0).reshape(x.shape[mode - 1], -1)
+            s = np.linalg.svd(a, compute_uv=False)[: self.R + 1]
+            assert np.min(-np.diff(s)) > 1e-4 * s[0]
+        volume = tmp_path / "x.s3dv"
+        volume_io.write_volume(volume, x)
+        one = self._fit(volume, tmp_path / "t1.s3dm", "1")
+        two = self._fit(volume, tmp_path / "t2.s3dm", "2")
+        for u1, u2 in zip(one.factors, two.factors):
+            assert np.max(np.abs(u1 - u2)) < self.TOL
+        scale = np.max(np.abs(one.core))
+        assert np.max(np.abs(one.core - two.core)) < self.TOL * scale
+        psnr1 = metrics.psnr(x, s3dsvd.reconstruct(one, self.R))
+        psnr2 = metrics.psnr(x, s3dsvd.reconstruct(two, self.R))
+        assert abs(psnr1 - psnr2) < 1e-9

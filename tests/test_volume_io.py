@@ -358,9 +358,34 @@ class TestWritersRejectNonFinite:
             volume_io.write_model(tmp_path / "m.s3dm", model)
         with pytest.raises(errors.NumericError):
             volume_io.write_volume(tmp_path / "v.s3dv", np.full((2, 2, 2), math.inf))
+        with pytest.raises(errors.NumericError):
+            volume_io.write_volume(tmp_path / "n.s3dv", np.full((2, 2, 2), math.nan))
         with pytest.raises(ValueError):
             volume_io.write_volume(tmp_path / "w.s3dv", np.zeros((2, 2, 2)), "int8")
         assert list(tmp_path.iterdir()) == []
+
+    def test_volume_checks_run_shape_then_finite_then_dtype(self, tmp_path):
+        with pytest.raises(errors.ShapeError):
+            volume_io.write_volume(tmp_path / "a.s3dv", np.full((2, 2), math.nan), "int8")
+        with pytest.raises(errors.NumericError):
+            volume_io.write_volume(tmp_path / "b.s3dv", np.full((2, 2, 2), math.nan), "int8")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteVolumeBytes:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("layout", ["c", "transposed", "big-endian", "float32-input"])
+    def test_file_is_volume_to_bytes(self, tmp_path, dtype, layout):
+        x = np.random.default_rng(4).standard_normal((3, 4, 5))
+        x = {
+            "c": x,
+            "transposed": x.transpose(2, 0, 1),
+            "big-endian": x.astype(">f8"),
+            "float32-input": x.astype(np.float32),
+        }[layout]
+        path = tmp_path / "v.s3dv"
+        volume_io.write_volume(path, x, dtype)
+        assert path.read_bytes() == volume_io.volume_to_bytes(x, dtype)
 
 
 class TestQsigmaIsCoreDiagonal:
