@@ -273,7 +273,12 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
 
 
 def cpd_reconstruct(model):
-    """Sum of the model's weighted rank-one terms."""
+    """Sum of the model's weighted rank-one terms, as a C-contiguous volume.
+
+    The Kruskal sum is one GEMM (:func:`volrank.tensor_core._rank_one_sum`),
+    so metrics and :func:`volrank.volume_io.write_volume` use the result
+    without a strided copy.
+    """
     return _rank_one_sum(model.weights, *model.factors)
 
 

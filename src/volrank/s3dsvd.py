@@ -120,7 +120,9 @@ def diagonal_expansion(model, k):
     """Sum of the ``k`` leading qsigma-weighted rank-one terms.
 
     Uses only the diagonal of the core, so it is generally a coarser
-    approximation than :func:`reconstruct` at the same ``k``.
+    approximation than :func:`reconstruct` at the same ``k``.  The sum is
+    one GEMM (:func:`volrank.tensor_core._rank_one_sum`) and comes back
+    C-contiguous, as every returned volume does.
     """
     k = _check_level(k, model.r)
     return _rank_one_sum(model.qsigma[:k], *(u[:, :k] for u in model.factors))

@@ -4,7 +4,8 @@ and per-mode factors.
 Conventions used throughout the package:
 
 * A volume is a C-contiguous float64 ndarray of shape ``(n1, n2, n3)``,
-  so the third index varies fastest in memory.
+  so the third index varies fastest in memory.  Every volume the package
+  returns is one, so :func:`as_tensor3` hands it back without a copy.
 * Modes are numbered 1..3 to match the usual tensor literature.
 * ``unfold(x, m)`` arranges mode-m fibers as columns of an
   ``n_m x (prod of the other dims)`` matrix, with the lower-numbered
@@ -26,6 +27,9 @@ Conventions used throughout the package:
   goes through :func:`svd` (T. F. Chan, ACM TOMS 8(1), 1982).
 * :func:`mode_product` writes its result in C order with no transpose
   copy, as one matrix product per mode.
+* The Kruskal sum of weighted rank-one terms, which serves CPD models
+  and the s3dsvd diagonal expansion, is one GEMM whose output is
+  already in C order.
 """
 
 from dataclasses import dataclass
@@ -120,8 +124,17 @@ def outer3(u, v, w):
 
 
 def _rank_one_sum(weights, u1, u2, u3):
-    """Kruskal sum ``sum_r weights[r] * outer3(u1[:, r], u2[:, r], u3[:, r])``."""
-    return np.einsum("r,ir,jr,kr->ijk", weights, u1, u2, u3, optimize=True)
+    """Kruskal sum ``sum_r weights[r] * outer3(u1[:, r], u2[:, r], u3[:, r])``.
+
+    One GEMM (Kolda & Bader, SIAM Review 51(3), 2009, section 3.1): the
+    weighted ``u1`` times the ``r x (n2 n3)`` Khatri-Rao rows
+    ``kr[r, j * n3 + k] = u2[j, r] * u3[k, r]``, which is the mode-1
+    unfolding of the sum with the columns in C order.  The result is a
+    C-contiguous ``(n1, n2, n3)`` array, so nothing downstream copies it.
+    """
+    r = len(weights)
+    kr = (u2.T[:, :, None] * u3.T[:, None, :]).reshape(r, -1)
+    return ((u1 * weights) @ kr).reshape(len(u1), len(u2), len(u3))
 
 
 def unfold(x, mode):

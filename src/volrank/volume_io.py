@@ -19,6 +19,8 @@ as the truncated full model does.  The level-``j`` data is scattered
 through the file, so every level reads every byte.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -101,18 +103,28 @@ def _read_header(data, kind, magic, size, codes, code_name):
     return codes[code]
 
 
-def volume_from_bytes(data):
-    """Parse a serialized volume back into a float64 tensor."""
-    dtype = _read_header(data, "volume", VOLUME_MAGIC, 20, _DTYPE_CODES, "dtype")
-    dims = struct.unpack_from("<III", data, 8)
+def _volume_layout(header, size):
+    """Check a volume's header against its total ``size`` in bytes.
+
+    ``header`` holds at least the file's first 20 bytes, or all of a
+    shorter file.  Returns the payload's ``(dtype, dims)``.
+    """
+    dtype = _read_header(header, "volume", VOLUME_MAGIC, 20, _DTYPE_CODES, "dtype")
+    dims = struct.unpack_from("<III", header, 8)
     if min(dims) < 1:
         raise ParseError(f"dimensions must be positive, got {dims}", offset=8)
     expected = 20 + dims[0] * dims[1] * dims[2] * dtype.itemsize
-    if len(data) != expected:
+    if size != expected:
         raise ParseError(
-            f"payload size mismatch: expected {expected} bytes, found {len(data)}",
-            offset=min(len(data), expected),
+            f"payload size mismatch: expected {expected} bytes, found {size}",
+            offset=min(size, expected),
         )
+    return dtype, dims
+
+
+def volume_from_bytes(data):
+    """Parse a serialized volume back into a float64 tensor."""
+    dtype, dims = _volume_layout(data, len(data))
     x = np.frombuffer(data, dtype=dtype, offset=20).astype(np.float64).reshape(dims)
     _check_finite(x, "volume payload")
     return x
@@ -131,8 +143,30 @@ def write_volume(path, x, dtype="float64"):
 
 
 def read_volume(path):
+    """Read a volume file as :func:`volume_from_bytes` parses its bytes.
+
+    The header is checked against the file's size first; the payload is
+    then read straight into one array of the file's dtype, which only a
+    float32 file converts to float64.  A pipe or other file with no size
+    is read whole and parsed from its bytes.
+    """
     with open(path, "rb") as fh:
-        return volume_from_bytes(fh.read())
+        header = fh.read(20)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return volume_from_bytes(header + fh.read())
+        dtype, dims = _volume_layout(header, info.st_size)
+        x = np.empty(dims, dtype=dtype)
+        got = fh.readinto(x)
+    if got != x.nbytes:
+        raise ParseError(
+            f"volume file changed while read: expected {x.nbytes} payload bytes, "
+            f"found {got}",
+            offset=20 + got,
+        )
+    x = x.astype(np.float64, copy=False)
+    _check_finite(x, "volume payload")
+    return x
 
 
 def model_to_bytes(model):

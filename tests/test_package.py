@@ -1,12 +1,17 @@
 """The package's public surface is the union of its modules' ``__all__``,
-no module imports a name it does not use, and scipy is imported only where
-numpy has no substitute."""
+no module imports a name it does not use, scipy is imported only where
+numpy has no substitute, and every volume the package returns is in the
+layout that metrics and writers use without a copy."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import volrank
+from volrank import baselines, s3dsvd, tensor_core as tc, volume_io
 
 MODULES = ("baselines", "errors", "metrics", "s3dsvd", "tensor_core", "volume_io")
 
@@ -66,3 +71,41 @@ def test_scipy_is_imported_only_by_the_svd_fallback():
             if module.split(".")[0] == "scipy"
         ]
     assert found == [("tensor_core.py", "svd", "scipy.linalg")]
+
+
+def _returned_volumes(dims, tmp_path):
+    """Yield ``(call, volume)`` for each function that returns a volume."""
+    rng = np.random.default_rng(0)
+    x = volume_io.gen_synthetic("blobs", dims, seed=0)
+    k = 4
+    model = s3dsvd.decompose(x, k)
+    yield "s3dsvd.reconstruct", s3dsvd.reconstruct(model, k)
+    yield "diagonal_expansion", s3dsvd.diagonal_expansion(model, k)
+    tucker = baselines.tucker_decompose(x, k, max_iters=2)
+    yield "tucker_reconstruct", baselines.tucker_reconstruct(tucker)
+    cpd = baselines.cpd_decompose(x, k, seed=0, max_iters=2)
+    yield "cpd_reconstruct", baselines.cpd_reconstruct(cpd)
+    for mode in (1, 2, 3):
+        mat = rng.standard_normal((3, dims[mode - 1]))
+        yield f"mode_product mode {mode}", tc.mode_product(x, mat, mode)
+        yield f"fold mode {mode}", tc.fold(tc.unfold(x, mode), mode, dims)
+    yield "outer3", tc.outer3(*(rng.standard_normal(n) for n in dims))
+    for kind in ("multirank", "blobs", "blobs_noisy"):
+        yield f"gen_synthetic {kind}", volume_io.gen_synthetic(kind, dims, seed=1)
+    for dtype in ("float64", "float32"):
+        data = volume_io.volume_to_bytes(x, dtype)
+        path = tmp_path / f"{dtype}.s3dv"
+        path.write_bytes(data)
+        yield f"volume_from_bytes {dtype}", volume_io.volume_from_bytes(data)
+        yield f"read_volume {dtype}", volume_io.read_volume(path)
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 16), (28, 24, 20)], ids=["cube", "falling"])
+def test_every_returned_volume_is_c_ordered_float64(dims, tmp_path):
+    # as_tensor3 returns such a volume itself, so no metric or writer copies it.
+    wrong = [
+        (call, v.dtype.str, v.strides)
+        for call, v in _returned_volumes(dims, tmp_path)
+        if not (v.dtype == np.float64 and v.flags.c_contiguous and tc.as_tensor3(v) is v)
+    ]
+    assert wrong == []

@@ -384,10 +384,25 @@ class TestSharedChecks:
         with pytest.raises(errors.NumericError, match="grid contains a non-finite value at flat index 7"):
             tc._check_finite(a, "grid")
 
-    def test_rank_one_sum_matches_outer3_loop(self):
-        weights = RNG.standard_normal(3)
-        u1, u2, u3 = (RNG.standard_normal((n, 3)) for n in (4, 5, 6))
+    @pytest.mark.parametrize(
+        "dims, k",
+        [((4, 5, 6), 3), ((4, 5, 6), 4), ((5, 40, 7), 1), ((5, 40, 7), 5),
+         ((33, 2, 50), 1), ((33, 2, 50), 2)],
+    )
+    @pytest.mark.parametrize("weighting", ["normal", "alternating signs", "zero"])
+    def test_rank_one_sum_matches_outer3_loop(self, dims, k, weighting):
+        weights = {
+            "normal": RNG.standard_normal(k),
+            "alternating signs": np.abs(RNG.standard_normal(k)) * (-1.0) ** np.arange(k),
+            "zero": np.zeros(k),
+        }[weighting]
+        u1, u2, u3 = (RNG.standard_normal((n, k)) for n in dims)
         want = sum(
-            weights[r] * outer3_loop(u1[:, r], u2[:, r], u3[:, r]) for r in range(3)
+            weights[r] * outer3_loop(u1[:, r], u2[:, r], u3[:, r]) for r in range(k)
         )
-        assert np.allclose(tc._rank_one_sum(weights, u1, u2, u3), want, rtol=0, atol=1e-12)
+        # Bound on any entry's terms, so 1e-12 is relative to the sum's scale;
+        # zero weights must give exact zeros.
+        scale = np.abs(weights) @ np.prod([np.abs(u).max(axis=0) for u in (u1, u2, u3)], axis=0)
+        got = tc._rank_one_sum(weights, u1, u2, u3)
+        assert got.shape == dims
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)

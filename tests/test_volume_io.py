@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +389,79 @@ class TestWriteVolumeBytes:
         path = tmp_path / "v.s3dv"
         volume_io.write_volume(path, x, dtype)
         assert path.read_bytes() == volume_io.volume_to_bytes(x, dtype)
+
+
+def _malformed_volumes():
+    good = volume_io.volume_to_bytes(np.ones((2, 3, 4)))
+    cases = {
+        "empty": b"",
+        "short header": good[:19],
+        "bad magic": b"XXXX" + good[4:],
+        "truncated payload": good[:-8],
+        "over-long payload": good + b"\0" * 8,
+        "header only": good[:20],
+    }
+    for name, at, fmt, value in (
+        ("version", 4, "<H", 99),
+        ("dtype code", 6, "<H", 7),
+        ("zero dim", 12, "<I", 0),
+        ("float32 code on a float64 payload", 6, "<H", 0),
+    ):
+        data = bytearray(good)
+        struct.pack_into(fmt, data, at, value)
+        cases[name] = bytes(data)
+    for dtype, fmt in (("float64", "<d"), ("float32", "<f")):
+        data = bytearray(volume_io.volume_to_bytes(np.ones((2, 3, 4)), dtype))
+        struct.pack_into(fmt, data, 20 + struct.calcsize(fmt) * 5, math.nan)
+        cases[f"{dtype} nan at flat index 5"] = bytes(data)
+    return cases
+
+
+MALFORMED_VOLUMES = _malformed_volumes()
+
+
+class TestReadVolume:
+    @pytest.mark.parametrize("data", MALFORMED_VOLUMES.values(), ids=MALFORMED_VOLUMES)
+    def test_file_is_rejected_as_its_bytes_are(self, tmp_path, data):
+        path = tmp_path / "v.s3dv"
+        path.write_bytes(data)
+        with pytest.raises(errors.VolrankError) as want:
+            volume_io.volume_from_bytes(data)
+        with pytest.raises(type(want.value)) as got:
+            volume_io.read_volume(path)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "offset", None) == getattr(want.value, "offset", None)
+
+    def test_float64_file_is_held_once(self, tmp_path):
+        # The payload array plus the finiteness mask (one byte per value):
+        # reading the file's bytes and then copying them peaks above 2x.
+        x = np.random.default_rng(6).standard_normal((64, 64, 64))
+        path = tmp_path / "v.s3dv"
+        volume_io.write_volume(path, x)
+        tracemalloc.start()
+        try:
+            y = volume_io.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(y, x)
+        assert peak < 1.25 * x.nbytes
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        x = np.random.default_rng(7).standard_normal((3, 4, 5))
+        path = tmp_path / "v.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(
+            target=path.write_bytes, args=(volume_io.volume_to_bytes(x),), daemon=True
+        )
+        writer.start()
+        try:
+            y = volume_io.read_volume(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(y, x)
 
 
 class TestQsigmaIsCoreDiagonal:
