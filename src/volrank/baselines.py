@@ -126,7 +126,7 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
     """
     x = as_tensor3(x)
     hosvd = decompose(x, k)
-    return _hooi(x, hosvd, hosvd.r, max_iters, tol)
+    return _hooi(x, hosvd, hosvd.rank, max_iters, tol)
 
 
 def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
@@ -139,7 +139,7 @@ def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
     ``tucker_decompose(x, k)`` bit for bit.
     """
     x = as_tensor3(x)
-    if k == hosvd.r:
+    if k == hosvd.rank:
         factors, core = hosvd.factors, hosvd.core
     else:
         factors = tuple(u[:, :k].copy() for u in hosvd.factors)

@@ -138,9 +138,9 @@ def per(model, k):
     """Fraction of qsigma energy captured by the first ``k`` coefficients.
 
     Coefficients are taken in index order with their signs squared away;
-    ``per(model, model.r)`` is exactly 1.0.
+    ``per(model, model.rank)`` is exactly 1.0.
     """
-    k = _check_level(k, model.r)
+    k = _check_level(k, model.rank)
     energy, total = _qsigma_cumulative(model)
     return float(energy[k - 1] / total)
 

@@ -42,31 +42,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class S3dModel:
-    """Structured 3D SVD of a volume.
+    """Structured 3D SVD of a volume: orthonormal factors and a dense core.
+
+    The fields are :class:`volrank.baselines.TuckerModel`'s without its
+    fit history; the model is the truncated HOSVD (De Lathauwer, De Moor &
+    Vandewalle, SIMAX 2000).
 
     Attributes
     ----------
     dims : tuple of int
         Shape of the decomposed volume.
-    r : int
-        Number of retained columns per mode, ``1 <= r <= min(dims)``.
+    rank : int
+        Number of retained columns per mode, ``1 <= rank <= min(dims)``.
     factors : tuple of ndarray
-        Per-mode factors ``(u1, u2, u3)``; ``u_m`` is ``dims[m-1] x r``
+        Per-mode factors ``(u1, u2, u3)``; ``u_m`` is ``dims[m-1] x rank``
         with orthonormal columns.
     core : ndarray
-        Dense ``r x r x r`` core tensor.
-    qsigma : ndarray
-        Signed quasi-singular coefficients, ``qsigma[i] == core[i, i, i]``
-        exactly, kept in index order.
+        Dense ``rank x rank x rank`` core tensor.
 
     Instances are frozen; treat the arrays as read-only.
     """
 
     dims: tuple
-    r: int
+    rank: int
     factors: tuple
     core: np.ndarray
-    qsigma: np.ndarray
+
+    @property
+    def qsigma(self):
+        """Signed quasi-singular coefficients: the core diagonal, in index order.
+
+        A view of ``core``, so the two cannot disagree.
+        """
+        return np.einsum("iii->i", self.core)
 
 
 def decompose(x, r):
@@ -83,9 +91,7 @@ def decompose(x, r):
     r = _check_level(r, min(x.shape), "r")
     _check_finite(x, "input tensor")
     factors = tuple(mode_factor(x, mode, r) for mode in (1, 2, 3))
-    core = contract(x, factors)
-    qsigma = np.einsum("iii->i", core).copy()
-    return S3dModel(dims=x.shape, r=r, factors=factors, core=core, qsigma=qsigma)
+    return S3dModel(dims=x.shape, rank=r, factors=factors, core=contract(x, factors))
 
 
 def contract(x, factors):
@@ -113,7 +119,7 @@ def expand(core, factors, k):
 
 def reconstruct(model, k):
     """Truncated reconstruction from the leading ``k`` levels of ``model``."""
-    return expand(model.core, model.factors, _check_level(k, model.r))
+    return expand(model.core, model.factors, _check_level(k, model.rank))
 
 
 def diagonal_expansion(model, k):
@@ -124,7 +130,7 @@ def diagonal_expansion(model, k):
     one GEMM (:func:`volrank.tensor_core._rank_one_sum`) and comes back
     C-contiguous, as every returned volume does.
     """
-    k = _check_level(k, model.r)
+    k = _check_level(k, model.rank)
     return _rank_one_sum(model.qsigma[:k], *(u[:, :k] for u in model.factors))
 
 
@@ -148,7 +154,7 @@ def ordering_report(model):
     """
     mags = np.abs(model.qsigma)
     report = []
-    for i in range(model.r):
-        violation = i + 1 < model.r and mags[i] < mags[i + 1]
+    for i in range(model.rank):
+        violation = i + 1 < model.rank and mags[i] < mags[i + 1]
         report.append((i, float(mags[i]), bool(violation)))
     return report

@@ -81,6 +81,16 @@ def _check_level(v, n, what="k"):
 
 
 def _check_finite(a, what):
+    """Raise :class:`NumericError` naming ``a``'s first non-finite value in C order.
+
+    One sum decides the common case without an ``a``-sized mask: a finite
+    sum proves every value finite.  The mask is built only when the sum
+    is not finite, from a NaN or inf or from finite values that overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+        total = np.sum(a)
+    if np.isfinite(total):
+        return
     finite = np.isfinite(a)
     if not finite.all():
         index = int(np.flatnonzero(~finite.ravel())[0])

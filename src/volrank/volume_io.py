@@ -12,13 +12,18 @@ Both formats are little-endian with fixed headers:
   plus a u64 seed for cpd.
 
 ``_LAYOUTS`` is the one definition of each method's payload: the writer,
-the reader and level reads all follow it.  A level-``j`` read parses the
-whole model, then keeps the leading ``j`` entries along every axis of
-length rank (factor columns, core block, qsigma); it reconstructs exactly
-as the truncated full model does.  The level-``j`` data is scattered
-through the file, so every level reads every byte.
+the reader and level reads all follow it.  The s3dsvd qsigma block is
+written from :attr:`volrank.s3dsvd.S3dModel.qsigma`, the core diagonal,
+so a writer cannot store a mismatch; the reader still checks the whole
+stored block against the core and then drops it, since the model reads
+qsigma off its core.  A level-``j`` read parses the whole model, then
+keeps the leading ``j`` entries along every axis of length rank (factor
+columns, core block); it reconstructs exactly as the truncated full model
+does.  The level-``j`` data is scattered through the file, so every level
+reads every byte.
 """
 
+import dataclasses
 import os
 import stat
 import struct
@@ -51,15 +56,15 @@ _DTYPE_NAMES = {"float32": 0, "float64": 1}
 _METHOD_CODES = {"s3dsvd": 0, "tucker": 1, "cpd": 2}
 _METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
 
-# Per method: the model type, its rank field, the float blocks written after
-# the factors as (name in messages, field, number of axes of length rank),
-# and the fields the file does not store.
+# Per method: the model type, the float blocks written after the factors as
+# (name in messages, attribute, number of axes of length rank), and the
+# fields the file does not store.  An attribute that is not a model field
+# (s3dsvd's qsigma) is written and checked but not passed to the model.
 _LAYOUTS = {
-    "s3dsvd": (S3dModel, "r", (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
-    "tucker": (TuckerModel, "rank", (("core tensor", "core", 3),), {"fit_history": ()}),
+    "s3dsvd": (S3dModel, (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
+    "tucker": (TuckerModel, (("core tensor", "core", 3),), {"fit_history": ()}),
     "cpd": (
         CpModel,
-        "rank",
         (("weights", "weights", 1),),
         {"iterations_run": 0, "converged": False, "ridge_applied": False},
     ),
@@ -172,33 +177,50 @@ def read_volume(path):
 def model_to_bytes(model):
     """Serialize a decomposition model; the method is inferred from its type.
 
-    Raises :class:`NumericError` if a float block holds a NaN or inf, or
-    an s3dsvd model's qsigma is not its core diagonal, as
-    :func:`model_from_bytes` would.
+    Every check runs before any bytes are built, in the order
+    :class:`TypeError` for an unknown model type, :class:`ShapeError`
+    unless ``1 <= rank <= min(dims)`` and each array has the shape that
+    ``dims`` and ``rank`` give it, then :class:`NumericError` for a NaN
+    or inf in a float block.  The writer thereby refuses what
+    :func:`model_from_bytes` would reject.
     """
-    for method, (kind, rank_field, blocks, _) in _LAYOUTS.items():
+    for method, (kind, blocks, _) in _LAYOUTS.items():
         if isinstance(model, kind):
             break
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    rank = getattr(model, rank_field)
-    header = MODEL_MAGIC + struct.pack(
-        "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *model.dims, rank
-    )
-    # Factors are written column-major, the other blocks in C order.
+    dims, rank, factors = tuple(model.dims), model.rank, tuple(model.factors)
+    if len(dims) != 3 or not 1 <= rank <= min(dims):
+        raise ShapeError(f"invalid dims {dims} / rank {rank}")
+    if len(factors) != 3:
+        raise ShapeError(f"expected 3 factor matrices, got {len(factors)}")
+    # Factors are written column-major, the other blocks in C order.  Each
+    # block's shape is checked before the next is read, so qsigma is only
+    # taken from a core already known to be rank x rank x rank.
     flats = [
-        (f"factor matrix u{mode}", np.asarray(u, dtype="<f8").ravel(order="F"))
-        for mode, u in enumerate(model.factors, start=1)
-    ] + [
-        (what, np.asarray(getattr(model, field), dtype="<f8").ravel())
-        for what, field, _ in blocks
+        _flat(f"factor matrix u{mode}", u, (n, rank), "F")
+        for mode, (n, u) in enumerate(zip(dims, factors), start=1)
     ]
+    for what, field, axes in blocks:
+        flats.append(_flat(what, getattr(model, field), (rank,) * axes, "C"))
     for what, flat in flats:
         _check_finite(flat, what)
-    if method == "s3dsvd":
-        _check_qsigma(flats)
+    header = MODEL_MAGIC + struct.pack(
+        "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *dims, rank
+    )
     seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
     return header + b"".join(flat.tobytes() for _, flat in flats) + seed
+
+
+def _flat(what, a, shape, order):
+    """Return ``(what, a)`` with ``a`` flattened in ``order``.
+
+    Raises :class:`ShapeError` unless ``a`` has ``shape``.
+    """
+    a = np.asarray(a, dtype="<f8")
+    if a.shape != shape:
+        raise ShapeError(f"{what} has shape {a.shape}, expected {shape}")
+    return what, a.ravel(order=order)
 
 
 def _take_floats(data, pos, count, what, blocks):
@@ -220,12 +242,13 @@ def model_from_bytes(data, level=None):
     length rank (s3dsvd and tucker only); it reconstructs identically to
     truncating the fully parsed model.  The whole file's values are
     checked after its structure and ``level`` have been accepted: every
-    float block for non-finite values, then an s3dsvd qsigma against its
-    core diagonal.  A malformed file is therefore a :class:`ParseError`
-    whatever values it holds.
+    float block for non-finite values, then an s3dsvd file's stored qsigma
+    against its core diagonal.  A malformed file is therefore a
+    :class:`ParseError` whatever values it holds.
     """
     method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
-    kind, rank_field, payload, unstored = _LAYOUTS[method]
+    kind, payload, unstored = _LAYOUTS[method]
+    model_fields = {f.name for f in dataclasses.fields(kind)}
     *dims, rank = struct.unpack_from("<IIII", data, 8)
     dims = tuple(dims)
     if min(dims) < 1 or not 1 <= rank <= min(dims):
@@ -239,7 +262,8 @@ def model_from_bytes(data, level=None):
     fields = {}
     for what, field, axes in payload:
         flat, pos = _take_floats(data, pos, rank**axes, what, blocks)
-        fields[field] = flat.reshape((rank,) * axes)
+        if field in model_fields:
+            fields[field] = flat.reshape((rank,) * axes)
     if method == "cpd":
         if pos + 8 > len(data):
             raise ParseError("truncated seed: expected 8 bytes", offset=len(data))
@@ -260,16 +284,14 @@ def model_from_bytes(data, level=None):
         _check_finite(flat, what)
     if method == "s3dsvd":
         _check_qsigma(blocks)
-    return kind(
-        dims=dims, factors=tuple(factors), **{rank_field: rank}, **fields, **unstored
-    )
+    return kind(dims=dims, rank=rank, factors=tuple(factors), **fields, **unstored)
 
 
 def _check_qsigma(flats):
     """Raise :class:`NumericError` unless qsigma is exactly the core diagonal.
 
     ``flats`` holds the ``(name, flat)`` float blocks of a whole s3dsvd
-    payload, as written or read.
+    file, as read.
     """
     named = dict(flats)
     qsigma = named["qsigma"]

@@ -659,7 +659,7 @@ class TestNonFiniteModel:
     def nan_core_model(self, blob_volume, tmp_path):
         model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
         data = bytearray(volume_io.model_to_bytes(model))
-        core_offset = 24 + 8 * model.r * sum(model.dims)
+        core_offset = 24 + 8 * model.rank * sum(model.dims)
         struct.pack_into("<d", data, core_offset, math.nan)
         path = tmp_path / "nan.s3dm"
         path.write_bytes(bytes(data))
@@ -749,7 +749,7 @@ class TestOverflow:
             # 1e304, so the squared error overflows.
             model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
             data = bytearray(volume_io.model_to_bytes(model))
-            data[24 + 8 * model.r * sum(model.dims) + 7] ^= 0x3F
+            data[24 + 8 * model.rank * sum(model.dims) + 7] ^= 0x3F
             path = tmp_path / "flipped.s3dm"
             path.write_bytes(bytes(data))
             args = ["metrics", "--input", blob_volume, "--model", path, "--k", "4"]
@@ -764,7 +764,7 @@ class TestOverflow:
         # line comes from the overflowed mse.
         model = s3dsvd.decompose(volume_io.read_volume(blob_volume), 4)
         data = bytearray(volume_io.model_to_bytes(model))
-        struct.pack_into("<d", data, 24 + 8 * model.r * sum(model.dims) + 8, 1e300)
+        struct.pack_into("<d", data, 24 + 8 * model.rank * sum(model.dims) + 8, 1e300)
         path = tmp_path / "offdiag.s3dm"
         path.write_bytes(bytes(data))
         done = _cli_subprocess(

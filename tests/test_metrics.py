@@ -17,7 +17,7 @@ def model_with_qsigma(values):
     core[idx, idx, idx] = values
     eye = np.eye(r)
     return s3dsvd.S3dModel(
-        dims=(r, r, r), r=r, factors=(eye, eye, eye), core=core, qsigma=values
+        dims=(r, r, r), rank=r, factors=(eye, eye, eye), core=core
     )
 
 

@@ -1,9 +1,12 @@
 """The package's public surface is the union of its modules' ``__all__``,
 no module imports a name it does not use, scipy is imported only where
-numpy has no substitute, and every volume the package returns is in the
-layout that metrics and writers use without a copy."""
+numpy has no substitute, every volume the package returns is in the
+layout that metrics and writers use without a copy, and the three models
+share one contract: ``dims, rank, factors`` first, and an orthogonal
+model is those plus a dense core."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -109,3 +112,30 @@ def test_every_returned_volume_is_c_ordered_float64(dims, tmp_path):
         if not (v.dtype == np.float64 and v.flags.c_contiguous and tc.as_tensor3(v) is v)
     ]
     assert wrong == []
+
+
+def _field_names(kind):
+    return [field.name for field in dataclasses.fields(kind)]
+
+
+def test_models_share_one_contract():
+    assert _field_names(s3dsvd.S3dModel) == ["dims", "rank", "factors", "core"]
+    assert _field_names(baselines.TuckerModel) == [
+        *_field_names(s3dsvd.S3dModel),
+        "fit_history",
+    ]
+    assert _field_names(baselines.CpModel)[:3] == ["dims", "rank", "factors"]
+
+
+def test_qsigma_is_the_core_diagonal_bit_for_bit():
+    x = volume_io.gen_synthetic("blobs_noisy", (6, 7, 8), seed=2)
+    model = s3dsvd.decompose(x, 5)
+    core = model.core.copy()
+    core[2] = -core[2]
+    flipped = dataclasses.replace(model, core=core)
+    level = volume_io.model_from_bytes(volume_io.model_to_bytes(model), level=3)
+    for m in (model, flipped, level):
+        diagonal = np.array([m.core[i, i, i] for i in range(m.rank)])
+        assert m.qsigma.tobytes() == diagonal.tobytes()
+    assert flipped.qsigma[2] == -model.qsigma[2] != 0.0
+    assert level.qsigma.tobytes() == model.qsigma[:3].tobytes()

@@ -148,7 +148,6 @@ class TestReconstruct:
             model,
             factors=(u1, model.factors[1], model.factors[2]),
             core=core,
-            qsigma=np.einsum("iii->i", core).copy(),
         )
         for k in (1, 3, 4):
             assert np.max(
@@ -258,7 +257,7 @@ class TestOrderingReport:
         core[idx, idx, idx] = values
         eye = np.eye(r)
         return s3dsvd.S3dModel(
-            dims=(r, r, r), r=r, factors=(eye, eye, eye), core=core, qsigma=values
+            dims=(r, r, r), rank=r, factors=(eye, eye, eye), core=core
         )
 
     def test_monotone_sequence_has_no_violations(self):

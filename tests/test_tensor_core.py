@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,6 +384,32 @@ class TestSharedChecks:
         tc._check_finite(np.zeros((2, 2)), "clean")
         with pytest.raises(errors.NumericError, match="grid contains a non-finite value at flat index 7"):
             tc._check_finite(a, "grid")
+
+    def test_check_finite_passes_finite_values_whose_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tc._check_finite(np.full((4, 5, 6), 1e308), "huge")
+            tc._check_finite(np.full((4, 5, 6), -1e308), "huge")
+            tc._check_finite(np.empty((0, 3)), "empty")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 59])
+    def test_check_finite_names_the_first_and_last_index(self, value, index):
+        a = np.ones((3, 4, 5))
+        a.flat[index] = value
+        with pytest.raises(errors.NumericError) as exc:
+            tc._check_finite(a, "grid")
+        assert str(exc.value) == f"grid contains a non-finite value at flat index {index}"
+
+    def test_check_finite_builds_no_array_sized_temporary(self):
+        a = np.ones(2_000_000)
+        tracemalloc.start()
+        try:
+            tc._check_finite(a, "big")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * a.nbytes
 
     @pytest.mark.parametrize(
         "dims, k",

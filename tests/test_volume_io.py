@@ -140,7 +140,7 @@ class TestModelRoundtrip:
         data = volume_io.model_to_bytes(model)
         for level in (1, 3, 6):
             prefix = volume_io.model_from_bytes(data, level=level)
-            assert prefix.r == level
+            assert prefix.rank == level
             got = s3dsvd.reconstruct(prefix, level)
             want = s3dsvd.reconstruct(model, level)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -172,13 +172,10 @@ class TestModelRoundtrip:
         data = volume_io.model_to_bytes(model)
         for j in range(1, 6):
             fields = dict(
+                rank=j,
                 factors=tuple(u[:, :j] for u in model.factors),
                 core=model.core[:j, :j, :j],
             )
-            if method == "s3dsvd":
-                fields.update(r=j, qsigma=model.qsigma[:j])
-            else:
-                fields.update(rank=j)
             want = volume_io.model_to_bytes(dataclasses.replace(model, **fields))
             got = volume_io.model_from_bytes(data, level=j)
             assert type(got) is type(model)
@@ -256,7 +253,7 @@ class TestGenSynthetic:
 
 def _block_offsets(model):
     """Byte offset and float count of each named float block of a model file."""
-    rank = model.r if isinstance(model, s3dsvd.S3dModel) else model.rank
+    rank = model.rank
     blocks = [(f"factor matrix u{m}", n * rank) for m, n in enumerate(model.dims, 1)]
     if isinstance(model, baselines.CpModel):
         blocks.append(("weights", rank))
@@ -343,7 +340,10 @@ def _planted(model, what, index):
 
 
 class TestWritersRejectNonFinite:
-    @pytest.mark.parametrize("method,what", PAYLOAD_BLOCKS)
+    # An s3dsvd qsigma is read off the core, so no model holds a bad one.
+    @pytest.mark.parametrize(
+        "method,what", [case for case in PAYLOAD_BLOCKS if case != ("s3dsvd", "qsigma")]
+    )
     def test_model_writer_reports_as_the_reader_does(self, method, what):
         model = _fitted(method)
         data = bytearray(volume_io.model_to_bytes(model))
@@ -373,6 +373,71 @@ class TestWritersRejectNonFinite:
         with pytest.raises(errors.NumericError):
             volume_io.write_volume(tmp_path / "b.s3dv", np.full((2, 2, 2), math.nan), "int8")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWritersRejectBadShapes:
+    # A model whose arrays disagree with its dims and rank would be written
+    # as a file that reads back as another model, or not at all.
+    @staticmethod
+    def _volume():
+        return volume_io.gen_synthetic("blobs", (4, 5, 6), seed=3, blobs=3)
+
+    def _refused(self, tmp_path, model, message):
+        with pytest.raises(errors.ShapeError) as exc:
+            volume_io.write_model(tmp_path / "m.s3dm", model)
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dims_that_disagree_with_the_factors(self, tmp_path):
+        model = s3dsvd.decompose(self._volume(), 3)
+        self._refused(
+            tmp_path,
+            dataclasses.replace(model, dims=(5, 4, 6)),
+            "factor matrix u1 has shape (4, 3), expected (5, 3)",
+        )
+
+    def test_rank_that_disagrees_with_the_factors(self, tmp_path):
+        model = baselines.tucker_decompose(self._volume(), 2)
+        self._refused(
+            tmp_path,
+            dataclasses.replace(model, rank=3),
+            "factor matrix u1 has shape (4, 2), expected (4, 3)",
+        )
+
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker", "cpd"])
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_the_dims(self, tmp_path, method, rank):
+        model = dataclasses.replace(_fitted(method), dims=(4, 5, 6), rank=rank)
+        self._refused(tmp_path, model, f"invalid dims (4, 5, 6) / rank {rank}")
+
+    @pytest.mark.parametrize(
+        "method,field,shape,message",
+        [
+            ("s3dsvd", "core", (3, 3), "core tensor has shape (3, 3), expected (3, 3, 3)"),
+            ("s3dsvd", "core", (2, 2, 2), "core tensor has shape (2, 2, 2), expected (3, 3, 3)"),
+            ("tucker", "core", (3, 3, 2), "core tensor has shape (3, 3, 2), expected (3, 3, 3)"),
+            ("cpd", "weights", (2,), "weights has shape (2,), expected (3,)"),
+        ],
+    )
+    def test_payload_block_of_the_wrong_shape(self, tmp_path, method, field, shape, message):
+        model = dataclasses.replace(_fitted(method), **{field: np.ones(shape)})
+        self._refused(tmp_path, model, message)
+
+    def test_three_factors_are_required(self, tmp_path):
+        model = _fitted("tucker")
+        self._refused(
+            tmp_path,
+            dataclasses.replace(model, factors=model.factors[:2]),
+            "expected 3 factor matrices, got 2",
+        )
+
+    def test_shape_is_judged_before_values(self, tmp_path):
+        model = _planted(_fitted("s3dsvd"), "factor matrix u1", 0)
+        self._refused(
+            tmp_path,
+            dataclasses.replace(model, core=model.core[:2, :2, :2]),
+            "core tensor has shape (2, 2, 2), expected (3, 3, 3)",
+        )
 
 
 class TestWriteVolumeBytes:
@@ -465,8 +530,9 @@ class TestReadVolume:
 
 
 class TestQsigmaIsCoreDiagonal:
-    # per and select_rank_by_per read qsigma, reconstruct reads the core; a
-    # file where they disagree would load with a wrong PER curve.
+    # A model reads qsigma off its core, so a file whose stored qsigma block
+    # disagrees with the core is corrupt: the reader refuses it rather than
+    # drop the block unchecked.
     MESSAGE = "qsigma differs from the core diagonal at index 2"
 
     @staticmethod
@@ -480,17 +546,9 @@ class TestQsigmaIsCoreDiagonal:
     @pytest.mark.parametrize("level", [None, 1])
     def test_reader_names_the_first_index(self, level):
         model, data = self._mismatched()
-        assert model.r == 3
+        assert model.rank == 3
         with pytest.raises(errors.NumericError) as exc:
             volume_io.model_from_bytes(data, level=level)
-        assert str(exc.value) == self.MESSAGE
-
-    def test_writer_refuses_the_same_model(self):
-        model, _ = self._mismatched()
-        qsigma = model.qsigma.copy()
-        qsigma[-1] = 123.0
-        with pytest.raises(errors.NumericError) as exc:
-            volume_io.model_to_bytes(dataclasses.replace(model, qsigma=qsigma))
         assert str(exc.value) == self.MESSAGE
 
     def test_structure_level_and_finiteness_come_first(self):
