@@ -98,7 +98,8 @@ class CpModel:
 class CpStudy:
     """Aggregated multi-seed CPD runs.
 
-    ``runs`` is a tuple of ``(seed, MetricsReport, elapsed_seconds)``;
+    ``runs`` is a tuple of ``(seed, row)``, ``row`` being the run's
+    :func:`volrank.metrics.score` row with its fit time as ``time_s``;
     ``mean`` and ``ci_halfwidth`` map each of ``STUDY_METRIC_KEYS`` to the
     sample mean and the 95% Student-t confidence half-width (NaN when
     only one seed was run, 0.0 when all runs agree exactly).
@@ -288,12 +289,10 @@ def _study_run(x, k, seed, max_iters, tol):
         start = time.perf_counter()
         model = cpd_decompose(x, k, seed, max_iters=max_iters, tol=tol)
         elapsed = time.perf_counter() - start
-        report = metrics.score(
-            x, cpd_reconstruct(model), "cpd", k, elapsed_seconds=elapsed
-        )
+        row = metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=elapsed)
     except (ArithmeticError, np.linalg.LinAlgError, DegenerateInputError) as exc:
         raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
-    return (seed, report, elapsed), model.converged
+    return (seed, row), model.converged
 
 
 def _t975(df):
@@ -384,11 +383,7 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     mean = {}
     halfwidth = {}
     for key in STUDY_METRIC_KEYS:
-        samples = [
-            elapsed if key == "time_s" else getattr(report, key)
-            for _, report, elapsed in runs
-        ]
-        mean[key], halfwidth[key] = _aggregate(samples, quantile)
+        mean[key], halfwidth[key] = _aggregate([row[key] for _, row in runs], quantile)
     return CpStudy(
         k=k,
         seeds=seeds,

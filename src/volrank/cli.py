@@ -105,7 +105,11 @@ def _threads_from_env():
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Benchmark grid rows, one dict per method and k."""
+    """Benchmark grid rows, one dict per method and k.
+
+    A wrapper rather than the bare rows because the benchmark harness
+    (``perfbench/``) reads ``run_sweep(...).rows``.
+    """
 
     rows: tuple
 
@@ -117,19 +121,6 @@ _CI_COLUMNS = {
     "rel_err": "relerr_ci",
     "time_s": "time_ci",
 }
-
-
-def _report_to_row(report):
-    return {
-        "method": report.method,
-        "k": report.k,
-        "psnr_db": report.psnr_db,
-        "mse": report.mse,
-        "rel_err": report.rel_err,
-        "per": report.per,
-        "time_s": report.elapsed_seconds,
-        **dict.fromkeys(_CI_COLUMNS.values()),
-    }
 
 
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
@@ -159,10 +150,8 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         if method == "s3dsvd":
             for k in ks:
                 xhat = s3dsvd.reconstruct(hosvd, k)
-                report = metrics.score(
-                    x, xhat, "s3dsvd", k, metrics.per(hosvd, k), hosvd_s / len(ks)
-                )
-                rows.append(_report_to_row(report))
+                per = metrics.per(hosvd, k)
+                rows.append(metrics.score(x, xhat, "s3dsvd", k, per, hosvd_s / len(ks)))
                 say(f"sweep method=s3dsvd k={k} done")
             say(
                 f"per threshold {_fmt(PER_THRESHOLD)} first reached at"
@@ -174,8 +163,7 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 model = baselines._hooi(x, hosvd, k)
                 elapsed = hosvd_s + (time.perf_counter() - start)
                 xhat = baselines.tucker_reconstruct(model)
-                report = metrics.score(x, xhat, "tucker", k, elapsed_seconds=elapsed)
-                rows.append(_report_to_row(report))
+                rows.append(metrics.score(x, xhat, "tucker", k, time_s=elapsed))
                 say(f"sweep method=tucker k={k} done")
         else:
             for k in ks:
@@ -205,13 +193,10 @@ def _write_csv(rows, columns, path):
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    row[col] if col in ("method", "k") else _fmt(row[col])
-                    for col in columns
-                ]
-            )
+        writer.writerows(
+            [row[col] if col in ("method", "k") else _fmt(row.get(col)) for col in columns]
+            for row in rows
+        )
 
     if path is None:
         emit(sys.stdout)
@@ -297,9 +282,8 @@ def _cmd_metrics(args):
         if method == "s3dsvd":
             per_value = metrics.per(model, k)
     elapsed = time.perf_counter() - start
-    report = metrics.score(x, xhat, method, k, per_value, elapsed)
-    columns = _csv_columns(False, not args.no_timing)
-    _write_csv([_report_to_row(report)], columns, args.csv)
+    row = metrics.score(x, xhat, method, k, per_value, elapsed)
+    _write_csv([row], _csv_columns(False, not args.no_timing), args.csv)
     return EXIT_OK
 
 

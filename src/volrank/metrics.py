@@ -2,9 +2,7 @@
 percentage-of-energy-retained (PER) curve over qsigma coefficients.
 """
 
-from dataclasses import dataclass
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -12,7 +10,6 @@ from .errors import DegenerateInputError, NumericError
 from .tensor_core import _check_level, _check_pair, frobenius_norm
 
 __all__ = [
-    "MetricsReport",
     "mse",
     "per",
     "psnr",
@@ -20,23 +17,6 @@ __all__ = [
     "score",
     "select_rank_by_per",
 ]
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One method/k cell of a benchmark table.
-
-    ``per`` is ``None`` for methods without a qsigma sequence;
-    ``psnr_db`` is ``math.inf`` when the reconstruction is exact.
-    """
-
-    method: str
-    k: int
-    psnr_db: float
-    mse: float
-    rel_err: float
-    per: Optional[float] = None
-    elapsed_seconds: Optional[float] = None
 
 
 def mse(x, xhat):
@@ -106,23 +86,27 @@ def _rel_err(x, d, sq):
     return (math.sqrt(sq) if sq < math.inf else frobenius_norm(d)) / normx
 
 
-def score(x, xhat, method, k, per=None, elapsed_seconds=None):
-    """Score ``xhat`` against ``x`` as one ``method``/``k`` cell.
+def score(x, xhat, method, k, per=None, time_s=None):
+    """Score ``xhat`` against ``x`` as one ``method``/``k`` CSV row.
 
-    One residual gives all three values, each bit for bit what
-    :func:`psnr`, :func:`mse` and :func:`rel_err` return.
+    The row is a dict with the keys ``method, k, psnr_db, mse, rel_err,
+    per, time_s``, in the ``metrics`` CSV's column order.  ``per`` is
+    ``None`` for methods without a qsigma sequence, and ``psnr_db`` is
+    ``math.inf`` for an exact reconstruction.  One residual gives all
+    three errors, each bit for bit what :func:`psnr`, :func:`mse` and
+    :func:`rel_err` return.
     """
     x, xhat = _check_pair(x, xhat)
     d, sq = _residual(x, xhat)
-    return MetricsReport(
-        method=method,
-        k=k,
-        psnr_db=_psnr(x, d, sq),
-        mse=sq / d.size,
-        rel_err=_rel_err(x, d, sq),
-        per=per,
-        elapsed_seconds=elapsed_seconds,
-    )
+    return {
+        "method": method,
+        "k": k,
+        "psnr_db": _psnr(x, d, sq),
+        "mse": sq / d.size,
+        "rel_err": _rel_err(x, d, sq),
+        "per": per,
+        "time_s": time_s,
+    }
 
 
 def _qsigma_cumulative(model):

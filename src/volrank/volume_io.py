@@ -24,6 +24,7 @@ reads every byte.
 """
 
 import dataclasses
+import operator
 import os
 import stat
 import struct
@@ -179,7 +180,8 @@ def model_to_bytes(model):
 
     Every check runs before any bytes are built, in the order
     :class:`TypeError` for an unknown model type, :class:`ShapeError`
-    unless ``1 <= rank <= min(dims)`` and each array has the shape that
+    unless ``dims`` and ``rank`` are integers with
+    ``1 <= rank <= min(dims)`` and each array has the shape that
     ``dims`` and ``rank`` give it, then :class:`NumericError` for a NaN
     or inf in a float block.  The writer thereby refuses what
     :func:`model_from_bytes` would reject.
@@ -189,7 +191,11 @@ def model_to_bytes(model):
             break
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    dims, rank, factors = tuple(model.dims), model.rank, tuple(model.factors)
+    try:
+        dims, rank = tuple(map(operator.index, model.dims)), operator.index(model.rank)
+    except TypeError:
+        raise ShapeError(f"dims {model.dims} / rank {model.rank} must be integers") from None
+    factors = tuple(model.factors)
     if len(dims) != 3 or not 1 <= rank <= min(dims):
         raise ShapeError(f"invalid dims {dims} / rank {rank}")
     if len(factors) != 3:

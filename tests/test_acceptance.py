@@ -301,7 +301,7 @@ def test_c07_trend_replication():
         psnr_tk = metrics.psnr(x, tucker_reconstruct(tucker))
 
         study = cpd_study(x, k, seeds=tuple(range(10)))
-        t_cpd = min(elapsed for _, _, elapsed in study.runs)
+        t_cpd = min(row["time_s"] for _, row in study.runs)
         psnr_cpd = study.mean["psnr_db"]
 
         gap_ok &= (abs(psnr_tk - psnr_s3) <= 1.0
@@ -350,7 +350,7 @@ def test_c08_cpd_study_protocol(tmp_path, monkeypatch):
     # counts as exact; above the floor the 0.01 dB bound applies as is.
     raw_halfwidth = study.ci_halfwidth["psnr_db"]
     hw_ok, halfwidth, at_floor = _psnr_spread_tight(
-        [report.mse for _, report, _ in study.runs],
+        [row["mse"] for _, row in study.runs],
         float(np.max(target)), _mse_floor(target))
     ok = emits_ok and csv_ok and hw_ok
     _verdict("C8", ok,

@@ -430,11 +430,11 @@ class TestCpdStudy:
         x = rng.random((8, 9, 10))
         serial = baselines.cpd_study(x, 2, seeds=range(6))
         threaded = baselines.cpd_study(x, 2, seeds=range(6), threads=4)
-        for (s1, r1, _), (s2, r2, _) in zip(serial.runs, threaded.runs):
+        for (s1, r1), (s2, r2) in zip(serial.runs, threaded.runs):
             assert s1 == s2
-            assert r1.psnr_db == r2.psnr_db
-            assert r1.mse == r2.mse
-            assert r1.rel_err == r2.rel_err
+            assert r1["psnr_db"] == r2["psnr_db"]
+            assert r1["mse"] == r2["mse"]
+            assert r1["rel_err"] == r2["rel_err"]
         for key in ("psnr_db", "mse", "rel_err"):
             assert serial.mean[key] == threaded.mean[key]
             assert serial.ci_halfwidth[key] == threaded.ci_halfwidth[key]
@@ -444,7 +444,7 @@ class TestCpdStudy:
         x, _ = rank_one_target(seed=21)
         cut = baselines.cpd_study(x, 1, seeds=[3, 1, 2], max_iters=1, threads=threads)
         assert cut.unconverged == (3, 1, 2)
-        assert all(len(run) == 3 for run in cut.runs)
+        assert all(len(run) == 2 for run in cut.runs)
         full = baselines.cpd_study(x, 1, seeds=[3, 1, 2], threads=threads)
         assert full.unconverged == ()
 
@@ -480,7 +480,7 @@ class TestCpdStudy:
         # wrong degrees of freedom by many orders.
         x, _ = rank_one_target(seed=21)
         study = baselines.cpd_study(x, 1, seeds=range(10))
-        values = np.array([run[1].rel_err for run in study.runs])
+        values = np.array([run[1]["rel_err"] for run in study.runs])
         sd = float(np.std(values, ddof=1))
         expected = 2.262157162798205 * sd / math.sqrt(10)
         assert study.ci_halfwidth["rel_err"] == pytest.approx(expected, rel=1e-12, abs=1e-300)

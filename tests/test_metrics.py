@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from volrank import errors, metrics, s3dsvd
+from volrank import cli, errors, metrics, s3dsvd
 
 from oracles import mse_loop
 
@@ -206,56 +206,40 @@ class TestSelectRankByPer:
                 metrics.select_rank_by_per(model, bad)
 
 
-class TestMetricsReport:
-    def test_fields_round_trip(self):
-        report = metrics.MetricsReport(
-            method="s3dsvd",
-            k=4,
-            psnr_db=30.0,
-            mse=1e-3,
-            rel_err=0.05,
-            per=0.97,
-            elapsed_seconds=0.1,
-        )
-        assert report.method == "s3dsvd"
-        assert report.per == 0.97
-
-    def test_per_defaults_to_none(self):
-        report = metrics.MetricsReport(
-            method="cpd", k=2, psnr_db=25.0, mse=3e-3, rel_err=0.1
-        )
-        assert report.per is None
-        assert report.elapsed_seconds is None
-
-
 class TestScore:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_single_metrics_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.1, 1.0, size=(5, 6, 7))
         xhat = x + rng.normal(scale=0.05, size=x.shape)
-        report = metrics.score(x, xhat, "s3dsvd", 3, per=0.5, elapsed_seconds=1.0)
-        assert report.psnr_db == metrics.psnr(x, xhat)
-        assert report.mse == metrics.mse(x, xhat)
-        assert report.rel_err == metrics.rel_err(x, xhat)
-        assert (report.method, report.k, report.per) == ("s3dsvd", 3, 0.5)
-        assert report.elapsed_seconds == 1.0
+        row = metrics.score(x, xhat, "s3dsvd", 3, per=0.5, time_s=1.0)
+        assert row["psnr_db"] == metrics.psnr(x, xhat)
+        assert row["mse"] == metrics.mse(x, xhat)
+        assert row["rel_err"] == metrics.rel_err(x, xhat)
+        assert (row["method"], row["k"], row["per"]) == ("s3dsvd", 3, 0.5)
+        assert row["time_s"] == 1.0
+
+    def test_row_keys_are_the_metrics_csv_header(self):
+        x = np.ones((2, 3, 4))
+        row = metrics.score(x, 0.5 * x, "recon", 0)
+        assert list(row) == cli._csv_columns(False, True)
+        assert (row["per"], row["time_s"]) == (None, None)
 
     def test_exact_reconstruction_is_infinite(self):
         x = np.ones((2, 3, 4))
-        report = metrics.score(x, x.copy(), "recon", 0)
-        assert report.psnr_db == math.inf
-        assert report.mse == 0.0
+        row = metrics.score(x, x.copy(), "recon", 0)
+        assert row["psnr_db"] == math.inf
+        assert row["mse"] == 0.0
 
     def test_huge_volume_matches_the_single_metrics(self):
         rng = np.random.default_rng(8)
         x = rng.random((8, 8, 8)) * 1e160
         xhat = s3dsvd.reconstruct(s3dsvd.decompose(x, 2), 2)
-        report = metrics.score(x, xhat, "s3dsvd", 2)
-        assert math.isfinite(report.psnr_db)
-        assert report.psnr_db == metrics.psnr(x, xhat)
-        assert report.mse == metrics.mse(x, xhat) == math.inf
-        assert report.rel_err == metrics.rel_err(x, xhat)
+        row = metrics.score(x, xhat, "s3dsvd", 2)
+        assert math.isfinite(row["psnr_db"])
+        assert row["psnr_db"] == metrics.psnr(x, xhat)
+        assert row["mse"] == metrics.mse(x, xhat) == math.inf
+        assert row["rel_err"] == metrics.rel_err(x, xhat)
 
     def test_raises_what_psnr_raises(self):
         with pytest.raises(errors.DegenerateInputError):

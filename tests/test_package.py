@@ -3,18 +3,20 @@ no module imports a name it does not use, scipy is imported only where
 numpy has no substitute, every volume the package returns is in the
 layout that metrics and writers use without a copy, and the three models
 share one contract: ``dims, rank, factors`` first, and an orthogonal
-model is those plus a dense core."""
+model is those plus a dense core.  The benchmark in ``perfbench/`` can
+still trace the package and read its sweep rows."""
 
 import ast
 import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import volrank
-from volrank import baselines, s3dsvd, tensor_core as tc, volume_io
+from volrank import baselines, cli, s3dsvd, tensor_core as tc, volume_io
 
 MODULES = ("baselines", "errors", "metrics", "s3dsvd", "tensor_core", "volume_io")
 
@@ -139,3 +141,57 @@ def test_qsigma_is_the_core_diagonal_bit_for_bit():
         assert m.qsigma.tobytes() == diagonal.tobytes()
     assert flipped.qsigma[2] == -model.qsigma[2] != 0.0
     assert level.qsigma.tobytes() == model.qsigma[:3].tobytes()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _row_keys_read(path, function):
+    """The ``row["..."]`` keys that ``function`` (``name`` or ``Class.name``) reads."""
+    node = ast.parse(path.read_text(), filename=str(path))
+    for name in function.split("."):
+        node = next(
+            child for child in node.body
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and child.name == name
+        )
+    return {
+        sub.slice.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Subscript)
+        and isinstance(sub.value, ast.Name) and sub.value.id == "row"
+        and isinstance(sub.slice, ast.Constant)
+    }
+
+
+def test_the_benchmark_interface_holds(monkeypatch):
+    # The benchmark in perfbench/ traces functions by name and reads sweep
+    # rows, so renaming either breaks it; this keeps that a test failure.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    reference = importlib.import_module("reference")
+    traced = [
+        (sys.modules[f"volrank.{module}"], attr)
+        for module, attr in (name.split(".") for name in tracing.TRACED)
+    ]
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "volrank"]
+    before = [(m, dict(vars(m))) for m in modules]
+    originals = [getattr(module, attr) for module, attr in traced]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = [getattr(module, attr).__wrapped__ for module, attr in traced]
+    finally:
+        tracer.uninstall()
+    assert all(w is o for w, o in zip(wrapped, originals))
+    for module, names in before:
+        assert all(getattr(module, key) is value for key, value in names.items())
+
+    x = volume_io.gen_synthetic("blobs_noisy", (8, 9, 10), seed=4)
+    rows = cli.run_sweep(x, ["s3dsvd"], [2, 3]).rows
+    read = _row_keys_read(PERFBENCH / "reference.py", "check_sweep_row")
+    read |= _row_keys_read(PERFBENCH / "workloads.py", "Progressive.round")
+    assert {"method", "k", "mse", "per"} <= read
+    normx2 = float(np.sum(x * x))
+    for row in rows:
+        assert read <= set(row)
+        reference.check_sweep_row(row, float(np.max(x)), normx2, x.size)

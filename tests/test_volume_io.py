@@ -423,6 +423,23 @@ class TestWritersRejectBadShapes:
         model = dataclasses.replace(_fitted(method), **{field: np.ones(shape)})
         self._refused(tmp_path, model, message)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("rank", 3.0, "dims (4, 5, 6) / rank 3.0 must be integers"),
+            ("dims", (4.0, 5, 6), "dims (4.0, 5, 6) / rank 3 must be integers"),
+            ("rank", np.int64(3), None),
+        ],
+    )
+    def test_header_fields_must_be_integers(self, tmp_path, field, value, message):
+        # A float would pass the shape checks and fail in struct.pack.
+        model = s3dsvd.decompose(self._volume(), 3)
+        changed = dataclasses.replace(model, **{field: value})
+        if message is None:
+            assert volume_io.model_to_bytes(changed) == volume_io.model_to_bytes(model)
+        else:
+            self._refused(tmp_path, changed, message)
+
     def test_three_factors_are_required(self, tmp_path):
         model = _fitted("tucker")
         self._refused(
