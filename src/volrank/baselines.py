@@ -193,21 +193,28 @@ def _fit_error(normx, inner, weights, factors):
     return math.sqrt(max(sq, 0.0)) / (normx if normx else 1.0)
 
 
+def _check_seed(seed):
+    """Return ``seed`` if a model file's u64 seed field holds it."""
+    return _check_level(seed, 2**64 - 1, "seed", low=0)
+
+
 def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     """Fit a rank-``k`` CPD to ``x`` with seeded ALS.
 
     Factors start as uniform [0, 1) draws from
-    ``numpy.random.default_rng(seed)``.  Each sweep solves the three
-    normal-equation least-squares problems, then renormalizes factor
-    columns into non-negative ``weights``.  Iteration stops when the
-    change in relative error between sweeps falls below ``tol`` or after
-    ``max_iters`` sweeps; the error comes from :func:`_fit_error`.  A
-    normal-equation matrix whose Cholesky factorization fails gets a
-    ``1e-12`` diagonal ridge and the fit continues with ``ridge_applied``
-    set.
+    ``numpy.random.default_rng(seed)``, for an integer ``0 <= seed < 2**64``
+    (a model file's u64).  Each sweep solves the three normal-equation
+    least-squares problems, then renormalizes factor columns into
+    non-negative ``weights``.  Iteration stops when the change in relative
+    error between sweeps falls below ``tol`` or after ``max_iters`` sweeps;
+    the error comes from :func:`_fit_error`.  A normal-equation matrix
+    whose Cholesky factorization fails gets a ``1e-12`` diagonal ridge and
+    the fit continues with ``ridge_applied`` set.
 
     Raises
     ------
+    TypeError, ValueError
+        Before any fit, for a ``seed`` outside that range.
     NumericError
         If a Gram matrix, an MTTKRP (``x`` summed against matching columns
         of the other two factors), an updated factor or the weights are not
@@ -216,7 +223,7 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
     _check_finite(x, "input tensor")
-    seed = int(seed)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     factors = [rng.random((n, k)) for n in x.shape]
     weights = np.ones(k)
@@ -356,11 +363,12 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
 
     ``threads`` > 1 distributes the independent runs over a thread pool;
     results are identical to serial execution apart from wall-clock
-    timings.  A failing run aborts the study, naming its seed.
+    timings.  Every seed is checked as :func:`cpd_decompose` checks it
+    before the first fit; a failing run aborts the study, naming its seed.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_check_seed(s) for s in seeds)
     if not seeds:
         raise ValueError("seeds must be a non-empty sequence")
     if threads is not None and int(threads) > 1:

@@ -34,6 +34,7 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 import math
+import operator
 
 import numpy as np
 
@@ -73,10 +74,14 @@ def _check_mode(mode):
         raise ValueError(f"mode must be 1, 2, or 3, got {mode!r}")
 
 
-def _check_level(v, n, what="k"):
-    v = int(v)
-    if not 1 <= v <= n:
-        raise ValueError(f"{what} must satisfy 1 <= {what} <= {n}, got {v}")
+def _check_level(v, n, what="k", low=1):
+    """Return ``v`` if ``low <= v <= n``; a float or string is a ``TypeError``."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {v!r}") from None
+    if not low <= v <= n:
+        raise ValueError(f"{what} must satisfy {low} <= {what} <= {n}, got {v}")
     return v
 
 

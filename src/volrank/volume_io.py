@@ -1,29 +1,30 @@
 """Binary volume/model file formats and synthetic volume generation.
 
-Both formats are little-endian with fixed headers:
+Both formats are little-endian with fixed headers, and the header fixes
+the file's size: any other length is one ``ParseError``, raised before the
+payload is allocated.
 
 * Volume (magic ``S3DV``): u16 format version, u16 dtype code
   (0 = float32, 1 = float64), three u32 dims, then the payload in
   C order (mode-3 index fastest).
 * Model (magic ``S3DM``): u16 format version, u16 method code
-  (0 = s3dsvd, 1 = tucker, 2 = cpd), three u32 dims, u32 rank, the three
-  factor matrices as column-major float64, then a method payload:
-  core (C order) plus qsigma for s3dsvd, core alone for tucker, weights
-  plus a u64 seed for cpd.
+  (0 = s3dsvd, 1 = tucker, 2 = cpd), three u32 dims, u32 rank, the
+  float64 blocks of ``_model_blocks`` (the three factor matrices
+  column-major, then core and qsigma for s3dsvd, core for tucker, weights
+  for cpd), then a u64 seed for cpd.
 
-``_LAYOUTS`` is the one definition of each method's payload: the writer,
-the reader and level reads all follow it.  The s3dsvd qsigma block is
-written from :attr:`volrank.s3dsvd.S3dModel.qsigma`, the core diagonal,
-so a writer cannot store a mismatch; the reader still checks the whole
-stored block against the core and then drops it, since the model reads
-qsigma off its core.  A level-``j`` read parses the whole model, then
-keeps the leading ``j`` entries along every axis of length rank (factor
-columns, core block); it reconstructs exactly as the truncated full model
-does.  The level-``j`` data is scattered through the file, so every level
-reads every byte.
+The writer, the reader and level reads all walk ``_model_blocks``.  The
+s3dsvd qsigma block is written from :attr:`volrank.s3dsvd.S3dModel.qsigma`,
+the core diagonal, so a writer cannot store a mismatch; the reader still
+checks the whole stored block against the core and then drops it, since
+the model reads qsigma off its core.  A level-``j`` read parses the whole
+model, then keeps the leading ``j`` entries along every axis of length
+rank (factor columns, core block); it reconstructs exactly as the
+truncated full model does.  The level-``j`` data is scattered through the
+file, so every level reads every byte.
 """
 
-import dataclasses
+import math
 import operator
 import os
 import stat
@@ -31,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .baselines import CpModel, TuckerModel
+from .baselines import CpModel, TuckerModel, _check_seed
 from .errors import NumericError, ParseError, ShapeError
 from .s3dsvd import S3dModel, expand
 from .tensor_core import _check_finite, _check_level, as_tensor3
@@ -54,22 +55,21 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_NAMES = {"float32": 0, "float64": 1}
-_METHOD_CODES = {"s3dsvd": 0, "tucker": 1, "cpd": 2}
-_METHOD_NAMES = {code: name for name, code in _METHOD_CODES.items()}
 
-# Per method: the model type, the float blocks written after the factors as
-# (name in messages, attribute, number of axes of length rank), and the
-# fields the file does not store.  An attribute that is not a model field
-# (s3dsvd's qsigma) is written and checked but not passed to the model.
+# Per method: the header's method code, the model type, the float blocks
+# written after the factors as (name in messages, attribute, number of axes
+# of length rank), and the fields the file does not store.
 _LAYOUTS = {
-    "s3dsvd": (S3dModel, (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
-    "tucker": (TuckerModel, (("core tensor", "core", 3),), {"fit_history": ()}),
+    "s3dsvd": (0, S3dModel, (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
+    "tucker": (1, TuckerModel, (("core tensor", "core", 3),), {"fit_history": ()}),
     "cpd": (
+        2,
         CpModel,
         (("weights", "weights", 1),),
         {"iterations_run": 0, "converged": False, "ridge_applied": False},
     ),
 }
+_METHOD_NAMES = {code: name for name, (code, *_) in _LAYOUTS.items()}
 
 
 def _volume_parts(x, dtype):
@@ -175,6 +175,23 @@ def read_volume(path):
     return x
 
 
+def _model_blocks(method, dims, rank):
+    """Every float block of a ``method`` model file, in file order.
+
+    Each block is ``(name in messages, attribute, shape, order)``: the
+    three factor matrices, column-major, then the method's ``_LAYOUTS``
+    blocks in C order.  With a lower ``rank`` it gives the leading part
+    of each block that a level read keeps.
+    """
+    blocks = [
+        (f"factor matrix u{mode}", "factors", (n, rank), "F")
+        for mode, n in enumerate(dims, start=1)
+    ]
+    for what, field, axes in _LAYOUTS[method][2]:
+        blocks.append((what, field, (rank,) * axes, "C"))
+    return blocks
+
+
 def model_to_bytes(model):
     """Serialize a decomposition model; the method is inferred from its type.
 
@@ -182,11 +199,12 @@ def model_to_bytes(model):
     :class:`TypeError` for an unknown model type, :class:`ShapeError`
     unless ``dims`` and ``rank`` are integers with
     ``1 <= rank <= min(dims)`` and each array has the shape that
-    ``dims`` and ``rank`` give it, then :class:`NumericError` for a NaN
-    or inf in a float block.  The writer thereby refuses what
+    ``dims`` and ``rank`` give it, :class:`NumericError` for a NaN or inf
+    in a float block, then :func:`volrank.baselines.cpd_decompose`'s seed
+    rule for a cpd seed.  The writer thereby refuses what
     :func:`model_from_bytes` would reject.
     """
-    for method, (kind, blocks, _) in _LAYOUTS.items():
+    for method, (code, kind, _, _) in _LAYOUTS.items():
         if isinstance(model, kind):
             break
     else:
@@ -200,45 +218,20 @@ def model_to_bytes(model):
         raise ShapeError(f"invalid dims {dims} / rank {rank}")
     if len(factors) != 3:
         raise ShapeError(f"expected 3 factor matrices, got {len(factors)}")
-    # Factors are written column-major, the other blocks in C order.  Each
-    # block's shape is checked before the next is read, so qsigma is only
-    # taken from a core already known to be rank x rank x rank.
-    flats = [
-        _flat(f"factor matrix u{mode}", u, (n, rank), "F")
-        for mode, (n, u) in enumerate(zip(dims, factors), start=1)
-    ]
-    for what, field, axes in blocks:
-        flats.append(_flat(what, getattr(model, field), (rank,) * axes, "C"))
+    # Each block's shape is checked before the next is read, so qsigma is
+    # only taken from a core already known to be rank x rank x rank.
+    factors = iter(factors)
+    flats = []
+    for what, field, shape, order in _model_blocks(method, dims, rank):
+        a = np.asarray(next(factors) if field == "factors" else getattr(model, field), "<f8")
+        if a.shape != shape:
+            raise ShapeError(f"{what} has shape {a.shape}, expected {shape}")
+        flats.append((what, a.ravel(order=order)))
     for what, flat in flats:
         _check_finite(flat, what)
-    header = MODEL_MAGIC + struct.pack(
-        "<HHIIII", FORMAT_VERSION, _METHOD_CODES[method], *dims, rank
-    )
-    seed = struct.pack("<Q", model.seed) if method == "cpd" else b""
+    seed = struct.pack("<Q", _check_seed(model.seed)) if method == "cpd" else b""
+    header = MODEL_MAGIC + struct.pack("<HHIIII", FORMAT_VERSION, code, *dims, rank)
     return header + b"".join(flat.tobytes() for _, flat in flats) + seed
-
-
-def _flat(what, a, shape, order):
-    """Return ``(what, a)`` with ``a`` flattened in ``order``.
-
-    Raises :class:`ShapeError` unless ``a`` has ``shape``.
-    """
-    a = np.asarray(a, dtype="<f8")
-    if a.shape != shape:
-        raise ShapeError(f"{what} has shape {a.shape}, expected {shape}")
-    return what, a.ravel(order=order)
-
-
-def _take_floats(data, pos, count, what, blocks):
-    """Read ``count`` float64s at ``pos``, appending ``(what, flat)`` to ``blocks``."""
-    end = pos + 8 * count
-    if end > len(data):
-        raise ParseError(
-            f"truncated {what}: expected {8 * count} bytes", offset=len(data)
-        )
-    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
-    blocks.append((what, flat))
-    return flat, end
 
 
 def model_from_bytes(data, level=None):
@@ -246,67 +239,55 @@ def model_from_bytes(data, level=None):
 
     A level-``j`` read keeps the leading ``j`` entries along every axis of
     length rank (s3dsvd and tucker only); it reconstructs identically to
-    truncating the fully parsed model.  The whole file's values are
-    checked after its structure and ``level`` have been accepted: every
-    float block for non-finite values, then an s3dsvd file's stored qsigma
-    against its core diagonal.  A malformed file is therefore a
-    :class:`ParseError` whatever values it holds.
+    truncating the fully parsed model.  The header's dims and rank fix the
+    file's size, which is checked before anything is allocated.  The whole
+    file's values are checked after its structure and ``level`` have been
+    accepted: every float block for non-finite values, then an s3dsvd
+    file's stored qsigma against its core diagonal.  A malformed file is
+    therefore a :class:`ParseError` whatever values it holds.
     """
     method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
-    kind, payload, unstored = _LAYOUTS[method]
-    model_fields = {f.name for f in dataclasses.fields(kind)}
     *dims, rank = struct.unpack_from("<IIII", data, 8)
     dims = tuple(dims)
     if min(dims) < 1 or not 1 <= rank <= min(dims):
         raise ParseError(f"invalid dims {dims} / rank {rank}", offset=8)
-    pos = 24
-    blocks = []
-    factors = []
-    for mode, n in enumerate(dims, start=1):
-        flat, pos = _take_floats(data, pos, n * rank, f"factor matrix u{mode}", blocks)
-        factors.append(flat.reshape((n, rank), order="F"))
-    fields = {}
-    for what, field, axes in payload:
-        flat, pos = _take_floats(data, pos, rank**axes, what, blocks)
-        if field in model_fields:
-            fields[field] = flat.reshape((rank,) * axes)
-    if method == "cpd":
-        if pos + 8 > len(data):
-            raise ParseError("truncated seed: expected 8 bytes", offset=len(data))
-        (fields["seed"],) = struct.unpack_from("<Q", data, pos)
-        pos += 8
-    if pos != len(data):
-        raise ParseError(f"trailing bytes after model payload", offset=pos)
+    blocks = _model_blocks(method, dims, rank)
+    sizes = [math.prod(shape) for _, _, shape, _ in blocks]
+    expected = 24 + 8 * sum(sizes) + (8 if method == "cpd" else 0)
+    if len(data) != expected:
+        raise ParseError(
+            f"payload size mismatch: expected {expected} bytes, found {len(data)}",
+            offset=min(len(data), expected),
+        )
     if level is not None:
         if method == "cpd":
             raise ValueError(
                 "cpd models reconstruct at their fitted rank; level is not supported"
             )
-        rank = _check_level(level, rank, "level")
-        factors = [np.ascontiguousarray(u[:, :rank]) for u in factors]
-        for field, a in fields.items():
-            fields[field] = np.ascontiguousarray(a[(slice(rank),) * a.ndim])
-    for what, flat in blocks:
+        level = _check_level(level, rank, "level")
+    _, kind, _, unstored = _LAYOUTS[method]
+    fields = dict(unstored, factors=())
+    if method == "cpd":
+        (fields["seed"],) = struct.unpack_from("<Q", data, expected - 8)
+    floats = np.frombuffer(data, dtype="<f8", count=sum(sizes), offset=24).copy()
+    flats = np.split(floats, np.cumsum(sizes[:-1]))
+    kept = blocks if level is None else _model_blocks(method, dims, level)
+    full = {}
+    for (what, field, shape, order), flat, (*_, keep, _) in zip(blocks, flats, kept):
         _check_finite(flat, what)
-    if method == "s3dsvd":
-        _check_qsigma(blocks)
-    return kind(dims=dims, rank=rank, factors=tuple(factors), **fields, **unstored)
-
-
-def _check_qsigma(flats):
-    """Raise :class:`NumericError` unless qsigma is exactly the core diagonal.
-
-    ``flats`` holds the ``(name, flat)`` float blocks of a whole s3dsvd
-    file, as read.
-    """
-    named = dict(flats)
-    qsigma = named["qsigma"]
-    core = named["core tensor"].reshape((qsigma.size,) * 3)
-    differ = np.flatnonzero(np.einsum("iii->i", core) != qsigma)
-    if differ.size:
-        raise NumericError(
-            f"qsigma differs from the core diagonal at index {differ[0]}"
-        )
+        full[field] = a = flat.reshape(shape, order=order)
+        if level is not None:
+            a = np.ascontiguousarray(a[tuple(map(slice, keep))])
+        if field == "factors":
+            fields["factors"] += (a,)
+        else:
+            fields[field] = a
+    if method == "s3dsvd":  # the model reads qsigma off its core
+        differ = np.flatnonzero(np.einsum("iii->i", full["core"]) != full["qsigma"])
+        if differ.size:
+            raise NumericError(f"qsigma differs from the core diagonal at index {differ[0]}")
+        del fields["qsigma"]
+    return kind(dims=dims, rank=level or rank, **fields)
 
 
 def write_model(path, model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import volrank
-from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc
+from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
 from oracles import cpd_expand_loop, tucker_expand_loop
 from test_s3dsvd import exact_multirank
@@ -281,6 +281,30 @@ class TestCpdDecompose:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             baselines.cpd_decompose(np.ones((3, 4, 5)), 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "seed,error",
+        [(-1, ValueError), (2**64, ValueError), (2**70, ValueError), (2.7, TypeError)],
+    )
+    def test_seed_a_model_file_cannot_hold_is_refused_before_any_fit(
+        self, monkeypatch, seed, error
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        x = np.ones((3, 3, 3))
+        with pytest.raises(error, match="seed"):
+            baselines.cpd_decompose(x, 1, seed)
+        monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
+        with pytest.raises(error, match="seed"):
+            baselines.cpd_study(x, 1, [0, seed])
+
+    def test_numpy_integer_seed_fits_as_the_int(self):
+        x = np.random.default_rng(3).random((4, 5, 6))
+        a = baselines.cpd_decompose(x, 2, np.uint64(5), max_iters=3)
+        b = baselines.cpd_decompose(x, 2, 5, max_iters=3)
+        assert type(a.seed) is int
+        assert volume_io.model_to_bytes(a) == volume_io.model_to_bytes(b)
 
     def test_ridge_fallback_on_zero_volume(self):
         # The first mode's update is zero, so the next normal equations are

@@ -77,6 +77,17 @@ class TestDecompose:
         assert a.read_bytes() == b.read_bytes()
         assert "iterations=" in capsys.readouterr().err
 
+    def test_cpd_seed_beyond_u64_exits_2_before_fitting(self, blob_volume, tmp_path,
+                                                         capsys):
+        out = tmp_path / "m.s3dm"
+        assert run_cli("decompose", "--input", blob_volume, "--method", "cpd",
+                       "--rank", "2", "--seed", str(2**64), "--output", out) == 2
+        assert capsys.readouterr().err == (
+            "volrank: error: ValueError: seed must satisfy"
+            f" 0 <= seed <= {2**64 - 1}, got {2**64}\n"
+        )
+        assert not out.exists()
+
     def test_rank_exceeding_min_dims_exits_2(self, blob_volume, tmp_path, capsys):
         code = run_cli("decompose", "--input", blob_volume, "--method", "s3dsvd",
                        "--rank", "13", "--output", tmp_path / "m.s3dm")

@@ -1,11 +1,11 @@
 """Property tests of the S3DV/S3DM parsers and the CLI on corrupted files.
 
-Each input is a valid file cut short, with one byte changed, with one float
-made NaN or infinite, or with its header's dims and rank replaced by large
-values.  It must either parse into
-finite arrays or be rejected with ``ParseError`` or ``NumericError``; the CLI
-must exit 0, 3 or 4 and never raise.  Large headers must be rejected before
-the parser allocates anything of the size they claim.
+Each input is a valid file cut short, with 1 to 16 bytes appended, with one
+byte changed, with one float made NaN or infinite, or with its header's dims
+and rank replaced by large values.  It must either parse into finite arrays
+or be rejected with ``ParseError`` or ``NumericError``; the CLI must exit 0,
+3 or 4 and never raise.  Large headers must be rejected before the parser
+allocates anything of the size they claim.
 """
 
 import contextlib
@@ -40,15 +40,17 @@ ALLOCATION_BOUND = 1 << 20
 
 @st.composite
 def corrupted(draw, files, header):
-    """A file cut short, with one byte flipped, or with one float made non-finite.
+    """A file cut short, extended, with one byte flipped or with one float non-finite.
 
     Random flips almost never give a NaN or inf, so the last kind writes one
     at an 8-byte slot after the ``header``-byte header.
     """
     data = draw(st.sampled_from(files))
-    kind = draw(st.sampled_from(["cut", "flip", "non-finite"]))
+    kind = draw(st.sampled_from(["cut", "extend", "flip", "non-finite"]))
     if kind == "cut":
         return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "extend":
+        return data + draw(st.binary(min_size=1, max_size=16))
     changed = bytearray(data)
     if kind == "flip":
         changed[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))

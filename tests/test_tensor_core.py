@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from volrank import errors, tensor_core as tc
+from volrank import errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
 from oracles import (
     inner_product_loop,
@@ -376,6 +376,24 @@ class TestSharedChecks:
         for bad in (0, 5):
             with pytest.raises(ValueError, match=rf"rank must satisfy 1 <= rank <= 4, got {bad}"):
                 tc._check_level(bad, 4, "rank")
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda x, m, path: s3dsvd.decompose(x, 3.9), "r"),
+            (lambda x, m, path: s3dsvd.reconstruct(m, 2.5), "k"),
+            (lambda x, m, path: metrics.per(m, "2"), "k"),
+            (lambda x, m, path: volume_io.read_model(path, level=2.0), "level"),
+        ],
+        ids=["decompose", "reconstruct", "per", "read_model-level"],
+    )
+    def test_levels_must_be_integers(self, tmp_path, call, what):
+        # A float is not rounded to a level, nor a string parsed as one.
+        x = np.random.default_rng(5).standard_normal((4, 5, 6))
+        model = s3dsvd.decompose(x, 3)
+        volume_io.write_model(tmp_path / "m.s3dm", model)
+        with pytest.raises(TypeError, match=rf"^{what} must be an integer, got "):
+            call(x, model, tmp_path / "m.s3dm")
 
     def test_check_finite_reports_first_c_order_index(self):
         a = np.zeros((3, 4), order="F")

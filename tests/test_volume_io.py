@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import struct
@@ -579,3 +580,82 @@ class TestQsigmaIsCoreDiagonal:
         struct.pack_into("<d", nan, 24, math.nan)
         with pytest.raises(errors.NumericError, match="factor matrix u1"):
             volume_io.model_from_bytes(bytes(nan))
+
+
+class TestModelSizeRule:
+    # The header's dims and rank fix a model file's size, as a volume's
+    # header fixes its own: any other length is one ParseError, with the
+    # offset at which the file and the expected size part.
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker", "cpd"])
+    def test_wrong_length_at_every_block_boundary(self, method):
+        model = _fitted(method)
+        data = volume_io.model_to_bytes(model)
+        ends = [pos + 8 * count for pos, count in _block_offsets(model).values()]
+        if method == "cpd":
+            ends.append(ends[-1] + 8)  # the u64 seed
+        assert ends[-1] == len(data)
+        cases = [data[: end - 1] for end in ends] + [data[:end] for end in ends[:-1]]
+        for broken in cases + [data + b"\x00"]:
+            with pytest.raises(errors.ParseError) as exc:
+                volume_io.model_from_bytes(broken)
+            assert str(exc.value) == (
+                f"payload size mismatch: expected {len(data)} bytes, found {len(broken)}"
+                f" (at byte offset {min(len(broken), len(data))})"
+            )
+            assert exc.value.offset == min(len(broken), len(data))
+
+
+def _frozen_models():
+    """One hand-built model per method, of exact ``np.arange`` values."""
+    dims, rank = (3, 4, 5), 2
+    factors = tuple(np.arange(n * rank, dtype=np.float64).reshape(n, rank) / 8 for n in dims)
+    core = np.arange(rank**3, dtype=np.float64).reshape((rank,) * 3) - 3.5
+    return {
+        "s3dsvd": s3dsvd.S3dModel(dims, rank, factors, core),
+        "tucker": baselines.TuckerModel(dims, rank, factors, core / 4, fit_history=()),
+        "cpd": baselines.CpModel(
+            dims, rank, factors, np.arange(1.0, rank + 1), seed=2**63 + 5,
+            iterations_run=0, converged=False, ridge_applied=False,
+        ),
+    }
+
+
+class TestFormatV1Frozen:
+    # Version-1 files must keep these bytes whatever later versions add.
+    SHA256 = {
+        "s3dsvd": "9d6afa7e0539ae5671d071918394e1f6d646ae78620acadb76a2e79b0c45b3b1",
+        "tucker": "26dcf4fef45b10748cdd232c2067a0bad578bf53519d41ad2a2b521ef77c2d21",
+        "cpd": "9941a22a19ae0f841e8307ca9219e89b18fa8ecc5b1041f2fd806aceb94cb1be",
+    }
+
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker", "cpd"])
+    def test_bytes_and_round_trip(self, method):
+        model = _frozen_models()[method]
+        data = volume_io.model_to_bytes(model)
+        assert struct.unpack_from("<H", data, 4) == (1,)
+        assert hashlib.sha256(data).hexdigest() == self.SHA256[method]
+        again = volume_io.model_from_bytes(data)
+        assert type(again) is type(model)
+        assert volume_io.model_to_bytes(again) == data
+        for got, want in zip(again.factors, model.factors):
+            assert np.array_equal(got, want)
+        for name in ("core", "weights", "seed"):
+            if hasattr(model, name):
+                assert np.array_equal(getattr(again, name), getattr(model, name))
+
+
+class TestCpdSeedRule:
+    # The file stores a cpd seed as a u64; the writer applies the fits' rule.
+    def test_numpy_integer_seed_writes_the_same_bytes(self):
+        model = _frozen_models()["cpd"]
+        want = volume_io.model_to_bytes(dataclasses.replace(model, seed=5))
+        assert volume_io.model_to_bytes(dataclasses.replace(model, seed=np.uint64(5))) == want
+
+    @pytest.mark.parametrize(
+        "seed,error", [(-1, ValueError), (2**64, ValueError), (2.0, TypeError)]
+    )
+    def test_seed_a_u64_cannot_hold_is_refused(self, tmp_path, seed, error):
+        model = dataclasses.replace(_frozen_models()["cpd"], seed=seed)
+        with pytest.raises(error, match="seed"):
+            volume_io.write_model(tmp_path / "m.s3dm", model)
+        assert list(tmp_path.iterdir()) == []
