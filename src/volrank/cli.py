@@ -26,6 +26,7 @@ import numpy as np
 from . import baselines, metrics, s3dsvd, volume_io
 from .baselines import CpModel, TuckerModel
 from .errors import DegenerateInputError, NumericError, ParseError
+from .tensor_core import _check_level
 
 __all__ = ["SweepResult", "entry_point", "main", "run_sweep"]
 
@@ -126,7 +127,9 @@ _CI_COLUMNS = {
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     """Benchmark ``methods`` at every k in ``ks`` against volume ``x``.
 
-    Every row's time is fit time only.  s3dsvd and tucker share one
+    Every row's time is fit time only.  cpd's seeds, and a cpd-only
+    sweep's ``max(ks)``, are checked as :func:`volrank.baselines.cpd_study`
+    checks them before any fit.  s3dsvd and tucker share one
     ``decompose(x, max(ks))``, computed before any row, so a level beyond
     the volume fails before any method is fitted.  s3dsvd truncates it
     per k, charging each row an equal share of its time.  Each tucker k
@@ -142,10 +145,14 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
             print(message, file=log)
 
     rows = []
+    if "cpd" in methods:
+        seeds = tuple(baselines._check_seed(s) for s in seeds)
     if "s3dsvd" in methods or "tucker" in methods:
         start = time.perf_counter()
         hosvd = s3dsvd.decompose(x, max(ks))
         hosvd_s = time.perf_counter() - start
+    elif "cpd" in methods:
+        _check_level(max(ks), min(np.shape(x)), "rank")
     for method in methods:
         if method == "s3dsvd":
             for k in ks:

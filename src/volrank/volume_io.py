@@ -13,17 +13,17 @@ payload is allocated.
   column-major, then core and qsigma for s3dsvd, core for tucker, weights
   for cpd), then a u64 seed for cpd.
 
-The writer, the reader and level reads all walk ``_model_blocks``.  The
-s3dsvd qsigma block is written from :attr:`volrank.s3dsvd.S3dModel.qsigma`,
-the core diagonal, so a writer cannot store a mismatch; the reader still
-checks the whole stored block against the core and then drops it, since
-the model reads qsigma off its core.  A level-``j`` read parses the whole
-model, then keeps the leading ``j`` entries along every axis of length
-rank (factor columns, core block); it reconstructs exactly as the
-truncated full model does.  The level-``j`` data is scattered through the
-file, so every level reads every byte.
+Each format has one parser, fed bytes, a file or a pipe (read whole
+first): it reads the header, applies the size rule and reads the payload
+straight into one array.  The model writer, parser and level reads all
+walk ``_model_blocks``.  The s3dsvd qsigma block is written from the core
+diagonal (:attr:`volrank.s3dsvd.S3dModel.qsigma`); the parser checks the
+stored block against the core, then drops it.  A level-``j`` read keeps
+the leading ``j`` entries along every axis of length rank, so it
+reconstructs as the truncated full model does, but it reads every byte.
 """
 
+import io
 import math
 import operator
 import os
@@ -89,12 +89,13 @@ def _volume_parts(x, dtype):
 
 def volume_to_bytes(x, dtype="float64"):
     """Serialize a volume; ``dtype`` picks the payload precision."""
-    header, payload = _volume_parts(x, dtype)
-    return header + payload.tobytes()
+    return b"".join(_volume_parts(x, dtype))
 
 
-def _read_header(data, kind, magic, size, codes, code_name):
-    """Check an S3DV/S3DM header up to its code; return ``codes[code]``."""
+def _read_header(fh, kind, magic, codes, code_name, fields):
+    """Read and check an S3DV/S3DM header; return ``codes[code]`` and its u32 ``fields``."""
+    size = 8 + struct.calcsize(fields)
+    data = fh.read(size)
     if len(data) < size:
         raise ParseError(
             f"{kind} header needs {size} bytes, found {len(data)}", offset=len(data)
@@ -106,34 +107,55 @@ def _read_header(data, kind, magic, size, codes, code_name):
         raise ParseError(f"unsupported format version {version}", offset=4)
     if code not in codes:
         raise ParseError(f"unknown {code_name} code {code}", offset=6)
-    return codes[code]
+    return codes[code], struct.unpack_from(fields, data, 8)
 
 
-def _volume_layout(header, size):
-    """Check a volume's header against its total ``size`` in bytes.
+def _read_payload(fh, kind, size, head, dtype, shape):
+    """Read the payload after ``fh``'s ``head``-byte header into one array.
 
-    ``header`` holds at least the file's first 20 bytes, or all of a
-    shorter file.  Returns the payload's ``(dtype, dims)``.
+    A file ``size`` other than the header fixes is a ``ParseError`` raised
+    before allocating, as is a stream that then yields fewer bytes.
     """
-    dtype = _read_header(header, "volume", VOLUME_MAGIC, 20, _DTYPE_CODES, "dtype")
-    dims = struct.unpack_from("<III", header, 8)
-    if min(dims) < 1:
-        raise ParseError(f"dimensions must be positive, got {dims}", offset=8)
-    expected = 20 + dims[0] * dims[1] * dims[2] * dtype.itemsize
+    expected = head + math.prod(shape) * np.dtype(dtype).itemsize
     if size != expected:
         raise ParseError(
             f"payload size mismatch: expected {expected} bytes, found {size}",
             offset=min(size, expected),
         )
-    return dtype, dims
+    a = np.empty(shape, dtype=dtype)
+    got = fh.readinto(a)
+    if got != a.nbytes:
+        raise ParseError(
+            f"{kind} file changed while read: expected {a.nbytes} payload bytes, "
+            f"found {got}",
+            offset=head + got,
+        )
+    return a
+
+
+def _read_file(path, parse, *args):
+    """``parse(stream, size, *args)`` on ``path``; a file with no size is read whole first."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return parse(fh, info.st_size, *args)
+        data = fh.read()
+    return parse(io.BytesIO(data), len(data), *args)
+
+
+def _parse_volume(fh, size):
+    """The S3DV parser: a float64 tensor from stream ``fh`` of ``size`` bytes."""
+    dtype, dims = _read_header(fh, "volume", VOLUME_MAGIC, _DTYPE_CODES, "dtype", "<III")
+    if min(dims) < 1:
+        raise ParseError(f"dimensions must be positive, got {dims}", offset=8)
+    x = _read_payload(fh, "volume", size, 20, dtype, dims).astype(np.float64, copy=False)
+    _check_finite(x, "volume payload")
+    return x
 
 
 def volume_from_bytes(data):
     """Parse a serialized volume back into a float64 tensor."""
-    dtype, dims = _volume_layout(data, len(data))
-    x = np.frombuffer(data, dtype=dtype, offset=20).astype(np.float64).reshape(dims)
-    _check_finite(x, "volume payload")
-    return x
+    return _parse_volume(io.BytesIO(data), len(data))
 
 
 def write_volume(path, x, dtype="float64"):
@@ -149,30 +171,11 @@ def write_volume(path, x, dtype="float64"):
 
 
 def read_volume(path):
-    """Read a volume file as :func:`volume_from_bytes` parses its bytes.
+    """Read a volume file with :func:`volume_from_bytes`'s parser.
 
-    The header is checked against the file's size first; the payload is
-    then read straight into one array of the file's dtype, which only a
-    float32 file converts to float64.  A pipe or other file with no size
-    is read whole and parsed from its bytes.
+    The payload is read straight into one array; a float32 one then becomes float64.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(20)
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return volume_from_bytes(header + fh.read())
-        dtype, dims = _volume_layout(header, info.st_size)
-        x = np.empty(dims, dtype=dtype)
-        got = fh.readinto(x)
-    if got != x.nbytes:
-        raise ParseError(
-            f"volume file changed while read: expected {x.nbytes} payload bytes, "
-            f"found {got}",
-            offset=20 + got,
-        )
-    x = x.astype(np.float64, copy=False)
-    _check_finite(x, "volume payload")
-    return x
+    return _read_file(path, _parse_volume)
 
 
 def _model_blocks(method, dims, rank):
@@ -234,6 +237,43 @@ def model_to_bytes(model):
     return header + b"".join(flat.tobytes() for _, flat in flats) + seed
 
 
+def _parse_model(fh, size, level):
+    """The S3DM parser: :func:`model_from_bytes` on stream ``fh`` of ``size`` bytes."""
+    method, header = _read_header(fh, "model", MODEL_MAGIC, _METHOD_NAMES, "method", "<IIII")
+    dims, rank = header[:3], header[3]
+    if min(dims) < 1 or not 1 <= rank <= min(dims):
+        raise ParseError(f"invalid dims {dims} / rank {rank}", offset=8)
+    blocks = _model_blocks(method, dims, rank)
+    sizes = [math.prod(shape) for _, _, shape, _ in blocks]
+    # One array holds every float block and, for cpd, the u64 seed's slot.
+    payload = _read_payload(fh, "model", size, 24, "<f8", (sum(sizes) + (method == "cpd"),))
+    if level is not None:
+        if method == "cpd":
+            raise ValueError(
+                "cpd models reconstruct at their fitted rank; level is not supported"
+            )
+        level = _check_level(level, rank, "level")
+    _, kind, _, unstored = _LAYOUTS[method]
+    fields = dict(unstored, factors=())
+    *flats, seed = np.split(payload, np.cumsum(sizes))
+    if method == "cpd":
+        fields["seed"] = int(seed.view("<u8")[0])
+    kept = blocks if level is None else _model_blocks(method, dims, level)
+    full = {}
+    for (what, field, shape, order), flat, (*_, keep, _) in zip(blocks, flats, kept):
+        _check_finite(flat, what)
+        full[field] = a = flat.reshape(shape, order=order)
+        if level is not None:
+            a = np.ascontiguousarray(a[tuple(map(slice, keep))])
+        fields[field] = fields["factors"] + (a,) if field == "factors" else a
+    if method == "s3dsvd":  # the model reads qsigma off its core
+        differ = np.flatnonzero(np.einsum("iii->i", full["core"]) != full["qsigma"])
+        if differ.size:
+            raise NumericError(f"qsigma differs from the core diagonal at index {differ[0]}")
+        del fields["qsigma"]
+    return kind(dims=dims, rank=level or rank, **fields)
+
+
 def model_from_bytes(data, level=None):
     """Parse a serialized model, optionally truncated to its first ``level`` terms.
 
@@ -246,59 +286,23 @@ def model_from_bytes(data, level=None):
     file's stored qsigma against its core diagonal.  A malformed file is
     therefore a :class:`ParseError` whatever values it holds.
     """
-    method = _read_header(data, "model", MODEL_MAGIC, 24, _METHOD_NAMES, "method")
-    *dims, rank = struct.unpack_from("<IIII", data, 8)
-    dims = tuple(dims)
-    if min(dims) < 1 or not 1 <= rank <= min(dims):
-        raise ParseError(f"invalid dims {dims} / rank {rank}", offset=8)
-    blocks = _model_blocks(method, dims, rank)
-    sizes = [math.prod(shape) for _, _, shape, _ in blocks]
-    expected = 24 + 8 * sum(sizes) + (8 if method == "cpd" else 0)
-    if len(data) != expected:
-        raise ParseError(
-            f"payload size mismatch: expected {expected} bytes, found {len(data)}",
-            offset=min(len(data), expected),
-        )
-    if level is not None:
-        if method == "cpd":
-            raise ValueError(
-                "cpd models reconstruct at their fitted rank; level is not supported"
-            )
-        level = _check_level(level, rank, "level")
-    _, kind, _, unstored = _LAYOUTS[method]
-    fields = dict(unstored, factors=())
-    if method == "cpd":
-        (fields["seed"],) = struct.unpack_from("<Q", data, expected - 8)
-    floats = np.frombuffer(data, dtype="<f8", count=sum(sizes), offset=24).copy()
-    flats = np.split(floats, np.cumsum(sizes[:-1]))
-    kept = blocks if level is None else _model_blocks(method, dims, level)
-    full = {}
-    for (what, field, shape, order), flat, (*_, keep, _) in zip(blocks, flats, kept):
-        _check_finite(flat, what)
-        full[field] = a = flat.reshape(shape, order=order)
-        if level is not None:
-            a = np.ascontiguousarray(a[tuple(map(slice, keep))])
-        if field == "factors":
-            fields["factors"] += (a,)
-        else:
-            fields[field] = a
-    if method == "s3dsvd":  # the model reads qsigma off its core
-        differ = np.flatnonzero(np.einsum("iii->i", full["core"]) != full["qsigma"])
-        if differ.size:
-            raise NumericError(f"qsigma differs from the core diagonal at index {differ[0]}")
-        del fields["qsigma"]
-    return kind(dims=dims, rank=level or rank, **fields)
+    return _parse_model(io.BytesIO(data), len(data), level)
 
 
 def write_model(path, model):
+    """Write ``model_to_bytes(model)``'s bytes to ``path``; every check runs first."""
     data = model_to_bytes(model)
     with open(path, "wb") as fh:
         fh.write(data)
 
 
 def read_model(path, level=None):
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read(), level=level)
+    """Read a model file with :func:`model_from_bytes`'s parser.
+
+    Its floats are read straight into one array, as :func:`read_volume`
+    reads a payload; a full read's arrays are views of it.
+    """
+    return _read_file(path, _parse_model, level)
 
 
 def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
@@ -317,16 +321,16 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
         The ``blobs`` volume plus uniform noise in [-noise, noise],
         clipped back to [0, 1].
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(operator.index, dims))
     if len(dims) != 3 or min(dims) < 1:
         raise ShapeError(f"dims must be three positive integers, got {dims}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(operator.index(seed))
     if kind == "multirank":
         rho = _check_level(rho, min(dims), "rho")
         factors = [np.linalg.qr(rng.standard_normal((n, rho)))[0] for n in dims]
         return expand(rng.standard_normal((rho, rho, rho)), factors, rho)
     if kind in ("blobs", "blobs_noisy"):
-        blobs = int(blobs)
+        blobs = operator.index(blobs)
         if blobs < 1:
             raise ValueError(f"blobs must be at least 1, got {blobs}")
         noise = float(noise)
@@ -338,13 +342,9 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
             amp = rng.uniform(0.5, 1.0)
             centers = [rng.uniform(0.25, 0.75) * (n - 1) for n in dims]
             widths = [rng.uniform(0.05, 0.2) * n for n in dims]
-            for mode in range(3):
-                profile = np.exp(
-                    -((grids[mode] - centers[mode]) ** 2) / (2.0 * widths[mode] ** 2)
-                )
-                if mode == 0:
-                    profile = amp * profile
-                profiles[mode][:, b] = profile
+            for profile, g, c, w in zip(profiles, grids, centers, widths):
+                profile[:, b] = np.exp(-((g - c) ** 2) / (2.0 * w**2))
+            profiles[0][:, b] *= amp
         x = np.einsum("ib,jb,kb->ijk", *profiles, optimize=True)
         x /= np.max(x)
         if kind == "blobs_noisy":

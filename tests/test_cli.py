@@ -461,6 +461,31 @@ class TestSweep:
         )
         assert not out.exists()
 
+    # cpd_study's seed rule, and for a cpd-only sweep its rank rule, run
+    # before any method is fitted.
+    @pytest.mark.parametrize(
+        "methods,ks,seeds,message",
+        [
+            ("s3dsvd,tucker,cpd", "2,4", "0,18446744073709551616",
+             "seed must satisfy 0 <= seed <= 18446744073709551615,"
+             " got 18446744073709551616"),
+            ("cpd", "2,100", "0,1", "rank must satisfy 1 <= rank <= 12, got 100"),
+        ],
+        ids=["seed-beyond-u64", "cpd-rank-beyond-volume"],
+    )
+    def test_cpd_rules_exit_2_before_any_fit(self, blob_volume, tmp_path, capsys,
+                                             monkeypatch, methods, ks, seeds, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(s3dsvd, "decompose", no_fit)
+        monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--input", blob_volume, "--method", methods,
+                       "--ks", ks, "--seeds", seeds, "--csv", out) == 2
+        assert capsys.readouterr().err == f"volrank: error: ValueError: {message}\n"
+        assert not out.exists()
+
     def test_per_threshold_reported_on_stderr(self, blob_volume, tmp_path, capsys):
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",
                 "--ks", "2,4", "--csv", tmp_path / "s.csv")

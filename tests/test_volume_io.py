@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import struct
@@ -244,12 +245,26 @@ class TestGenSynthetic:
             volume_io.gen_synthetic("cubes", (4, 4, 4), seed=0)
 
     @pytest.mark.parametrize(
-        "dims, kwargs",
-        [((4, 4), {}), ((4, 4, 4), {"blobs": 0}), ((4, 4, 4), {"noise": -0.1})],
+        "dims, kwargs, error",
+        [
+            ((4, 4), {}, ValueError),
+            ((4, 4, 4), {"blobs": 0}, ValueError),
+            ((4, 4, 4), {"noise": -0.1}, ValueError),
+            ((4.9, 5, 6), {}, TypeError),
+            ((4, 5, 6), {"seed": 2.7}, TypeError),
+            ((4, 5, 6), {"blobs": 3.5}, TypeError),
+        ],
     )
-    def test_invalid_blobs_arguments(self, dims, kwargs):
-        with pytest.raises(ValueError):
-            volume_io.gen_synthetic("blobs_noisy", dims, seed=0, **kwargs)
+    def test_invalid_blobs_arguments(self, dims, kwargs, error):
+        with pytest.raises(error):
+            volume_io.gen_synthetic("blobs_noisy", dims, **{"seed": 0, **kwargs})
+
+    def test_numpy_integers_give_the_python_int_volume(self):
+        want = volume_io.gen_synthetic("blobs", (4, 5, 6), seed=2, blobs=3)
+        got = volume_io.gen_synthetic(
+            "blobs", np.array([4, 5, 6]), seed=np.int64(2), blobs=np.uint8(3)
+        )
+        assert np.array_equal(got, want)
 
 
 def _block_offsets(model):
@@ -503,17 +518,33 @@ def _malformed_volumes():
 MALFORMED_VOLUMES = _malformed_volumes()
 
 
+def _assert_file_rejected_as_bytes(path, data, parse, read):
+    path.write_bytes(data)
+    with pytest.raises(errors.VolrankError) as want:
+        parse(data)
+    with pytest.raises(type(want.value)) as got:
+        read(path)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "offset", None) == getattr(want.value, "offset", None)
+
+
+def _read_through_pipe(path, data, read):
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return read(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 class TestReadVolume:
     @pytest.mark.parametrize("data", MALFORMED_VOLUMES.values(), ids=MALFORMED_VOLUMES)
     def test_file_is_rejected_as_its_bytes_are(self, tmp_path, data):
-        path = tmp_path / "v.s3dv"
-        path.write_bytes(data)
-        with pytest.raises(errors.VolrankError) as want:
-            volume_io.volume_from_bytes(data)
-        with pytest.raises(type(want.value)) as got:
-            volume_io.read_volume(path)
-        assert str(got.value) == str(want.value)
-        assert getattr(got.value, "offset", None) == getattr(want.value, "offset", None)
+        _assert_file_rejected_as_bytes(
+            tmp_path / "v.s3dv", data, volume_io.volume_from_bytes, volume_io.read_volume
+        )
 
     def test_float64_file_is_held_once(self, tmp_path):
         # The payload array plus the finiteness mask (one byte per value):
@@ -533,17 +564,8 @@ class TestReadVolume:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_whole(self, tmp_path):
         x = np.random.default_rng(7).standard_normal((3, 4, 5))
-        path = tmp_path / "v.fifo"
-        os.mkfifo(path)
-        writer = threading.Thread(
-            target=path.write_bytes, args=(volume_io.volume_to_bytes(x),), daemon=True
-        )
-        writer.start()
-        try:
-            y = volume_io.read_volume(path)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        data = volume_io.volume_to_bytes(x)
+        y = _read_through_pipe(tmp_path / "v.fifo", data, volume_io.read_volume)
         assert np.array_equal(y, x)
 
 
@@ -582,6 +604,17 @@ class TestQsigmaIsCoreDiagonal:
             volume_io.model_from_bytes(bytes(nan))
 
 
+def _wrong_lengths(model, data):
+    """``data`` cut 1 byte short of every block's end, cut at every inner
+    block boundary, and 1 byte too long."""
+    ends = [pos + 8 * count for pos, count in _block_offsets(model).values()]
+    if isinstance(model, baselines.CpModel):
+        ends.append(ends[-1] + 8)  # the u64 seed
+    assert ends[-1] == len(data)
+    cases = [data[: end - 1] for end in ends] + [data[:end] for end in ends[:-1]]
+    return cases + [data + b"\x00"]
+
+
 class TestModelSizeRule:
     # The header's dims and rank fix a model file's size, as a volume's
     # header fixes its own: any other length is one ParseError, with the
@@ -590,12 +623,7 @@ class TestModelSizeRule:
     def test_wrong_length_at_every_block_boundary(self, method):
         model = _fitted(method)
         data = volume_io.model_to_bytes(model)
-        ends = [pos + 8 * count for pos, count in _block_offsets(model).values()]
-        if method == "cpd":
-            ends.append(ends[-1] + 8)  # the u64 seed
-        assert ends[-1] == len(data)
-        cases = [data[: end - 1] for end in ends] + [data[:end] for end in ends[:-1]]
-        for broken in cases + [data + b"\x00"]:
+        for broken in _wrong_lengths(model, data):
             with pytest.raises(errors.ParseError) as exc:
                 volume_io.model_from_bytes(broken)
             assert str(exc.value) == (
@@ -659,3 +687,90 @@ class TestCpdSeedRule:
         with pytest.raises(error, match="seed"):
             volume_io.write_model(tmp_path / "m.s3dm", model)
         assert list(tmp_path.iterdir()) == []
+
+
+def _malformed_models():
+    """Model files of every method that the parser must refuse."""
+    cases = {}
+    for method, model in _frozen_models().items():
+        data = volume_io.model_to_bytes(model)
+        for broken in _wrong_lengths(model, data):
+            cases[f"{method} {len(broken)} of {len(data)} bytes"] = broken
+        cases[f"{method} empty"] = b""
+        cases[f"{method} short header"] = data[:23]
+        cases[f"{method} cut by 4"] = data[:-4]
+        cases[f"{method} bad magic"] = b"ZZZZ" + data[4:]
+        for name, at, value in (
+            ("version", 4, 99), ("method code", 6, 9), ("zero dim", 12, 0), ("zero rank", 20, 0),
+        ):
+            changed = bytearray(data)
+            struct.pack_into("<I" if at >= 8 else "<H", changed, at, value)
+            cases[f"{method} {name}"] = bytes(changed)
+        changed = bytearray(data)
+        struct.pack_into("<d", changed, len(data) - 16, math.nan)
+        cases[f"{method} nan in the last block"] = bytes(changed)
+        if method == "s3dsvd":
+            changed = bytearray(data)
+            struct.pack_into("<d", changed, _block_offsets(model)["qsigma"][0], 123.0)
+            cases["s3dsvd qsigma off the core diagonal"] = bytes(changed)
+    return cases
+
+
+MALFORMED_MODELS = _malformed_models()
+
+
+class TestReadModel:
+    @pytest.mark.parametrize("data", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+    def test_file_is_rejected_as_its_bytes_are(self, tmp_path, data):
+        _assert_file_rejected_as_bytes(
+            tmp_path / "m.s3dm", data, volume_io.model_from_bytes, volume_io.read_model
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("level", [None, 1])
+    def test_pipe_is_read_whole(self, tmp_path, level):
+        data = volume_io.model_to_bytes(_frozen_models()["s3dsvd"])
+        read = lambda path: volume_io.read_model(path, level=level)  # noqa: E731
+        model = _read_through_pipe(tmp_path / "m.fifo", data, read)
+        assert volume_io.model_to_bytes(model) == volume_io.model_to_bytes(
+            volume_io.model_from_bytes(data, level=level)
+        )
+
+    def test_floats_are_held_once(self, tmp_path):
+        # One array of the file's floats: reading the file's bytes and then
+        # copying its floats peaks at twice the file's size.
+        rng = np.random.default_rng(8)
+        dims, rank = (40, 48, 56), 40
+        factors = tuple(rng.standard_normal((n, rank)) for n in dims)
+        model = s3dsvd.S3dModel(dims, rank, factors, rng.standard_normal((rank,) * 3))
+        path = tmp_path / "m.s3dm"
+        volume_io.write_model(path, model)
+        tracemalloc.start()
+        try:
+            got = volume_io.read_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert volume_io.model_to_bytes(got) == path.read_bytes()
+        assert peak < 1.25 * path.stat().st_size
+
+
+class TestShortStream:
+    # A stream that yields fewer payload bytes than its size promised, as a
+    # file cut short while it is read does, is refused by either parser.
+    @pytest.mark.parametrize("kind", ["volume", "model"])
+    def test_changed_while_read(self, kind):
+        if kind == "volume":
+            head, data = 20, volume_io.volume_to_bytes(np.ones((2, 3, 4)))
+            parse = volume_io._parse_volume
+        else:
+            head, data = 24, volume_io.model_to_bytes(_frozen_models()["cpd"])
+            parse = lambda fh, size: volume_io._parse_model(fh, size, None)  # noqa: E731
+        with pytest.raises(errors.ParseError) as exc:
+            parse(io.BytesIO(data[:-8]), len(data))
+        payload = len(data) - head
+        assert str(exc.value) == (
+            f"{kind} file changed while read: expected {payload} payload bytes,"
+            f" found {payload - 8} (at byte offset {len(data) - 8})"
+        )
+        assert exc.value.offset == len(data) - 8
