@@ -24,7 +24,6 @@ fanning the runs out over a thread pool; serial and threaded execution
 produce identical numbers.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 import contextvars
 from dataclasses import dataclass
 import math
@@ -198,6 +197,14 @@ def _check_seed(seed):
     return _check_level(seed, 2**64 - 1, "seed", low=0)
 
 
+def _check_seeds(seeds):
+    """Return ``seeds`` as a tuple if it is non-empty and :func:`_check_seed` holds for each."""
+    seeds = tuple(map(_check_seed, seeds))
+    if not seeds:
+        raise ValueError("seeds must be a non-empty sequence")
+    return seeds
+
+
 def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     """Fit a rank-``k`` CPD to ``x`` with seeded ALS.
 
@@ -368,10 +375,10 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
-    seeds = tuple(_check_seed(s) for s in seeds)
-    if not seeds:
-        raise ValueError("seeds must be a non-empty sequence")
+    seeds = _check_seeds(seeds)
     if threads is not None and int(threads) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's start-up path
+
         # Each run gets its own copy of the caller's context, so numpy's
         # error state (np.errstate) holds in the workers as it does serially.
         contexts = [contextvars.copy_context() for _ in seeds]

@@ -146,7 +146,7 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
 
     rows = []
     if "cpd" in methods:
-        seeds = tuple(baselines._check_seed(s) for s in seeds)
+        seeds = baselines._check_seeds(seeds)
     if "s3dsvd" in methods or "tucker" in methods:
         start = time.perf_counter()
         hosvd = s3dsvd.decompose(x, max(ks))

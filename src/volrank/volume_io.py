@@ -195,17 +195,10 @@ def _model_blocks(method, dims, rank):
     return blocks
 
 
-def model_to_bytes(model):
-    """Serialize a decomposition model; the method is inferred from its type.
+def _model_parts(model):
+    """Check a model for writing; return the file's parts: header, float blocks, seed.
 
-    Every check runs before any bytes are built, in the order
-    :class:`TypeError` for an unknown model type, :class:`ShapeError`
-    unless ``dims`` and ``rank`` are integers with
-    ``1 <= rank <= min(dims)`` and each array has the shape that
-    ``dims`` and ``rank`` give it, :class:`NumericError` for a NaN or inf
-    in a float block, then :func:`volrank.baselines.cpd_decompose`'s seed
-    rule for a cpd seed.  The writer thereby refuses what
-    :func:`model_from_bytes` would reject.
+    Raises as :func:`model_to_bytes` documents, before any bytes are built.
     """
     for method, (code, kind, _, _) in _LAYOUTS.items():
         if isinstance(model, kind):
@@ -234,7 +227,22 @@ def model_to_bytes(model):
         _check_finite(flat, what)
     seed = struct.pack("<Q", _check_seed(model.seed)) if method == "cpd" else b""
     header = MODEL_MAGIC + struct.pack("<HHIIII", FORMAT_VERSION, code, *dims, rank)
-    return header + b"".join(flat.tobytes() for _, flat in flats) + seed
+    return [header, *(flat for _, flat in flats), seed]
+
+
+def model_to_bytes(model):
+    """Serialize a decomposition model; the method is inferred from its type.
+
+    Every check runs before any bytes are built, in the order
+    :class:`TypeError` for an unknown model type, :class:`ShapeError`
+    unless ``dims`` and ``rank`` are integers with
+    ``1 <= rank <= min(dims)`` and each array has the shape that
+    ``dims`` and ``rank`` give it, :class:`NumericError` for a NaN or inf
+    in a float block, then :func:`volrank.baselines.cpd_decompose`'s seed
+    rule for a cpd seed.  The writer thereby refuses what
+    :func:`model_from_bytes` would reject.
+    """
+    return b"".join(_model_parts(model))
 
 
 def _parse_model(fh, size, level):
@@ -290,10 +298,15 @@ def model_from_bytes(data, level=None):
 
 
 def write_model(path, model):
-    """Write ``model_to_bytes(model)``'s bytes to ``path``; every check runs first."""
-    data = model_to_bytes(model)
+    """Write ``model_to_bytes(model)``'s bytes to ``path``.
+
+    Every check runs before the file is opened; each float block is
+    written from its array's own buffer, as :func:`write_volume` writes
+    a payload.
+    """
+    parts = _model_parts(model)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(parts)
 
 
 def read_model(path, level=None):

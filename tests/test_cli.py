@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import struct
@@ -486,6 +487,23 @@ class TestSweep:
         assert capsys.readouterr().err == f"volrank: error: ValueError: {message}\n"
         assert not out.exists()
 
+    def test_empty_seeds_fail_before_any_fit(self, blob_volume, monkeypatch):
+        # Library callers reach run_sweep without the CLI's --seeds parsing.
+        x = volume_io.read_volume(blob_volume)
+        calls = []
+        decompose = s3dsvd.decompose
+
+        def counted(x, r):
+            calls.append(r)
+            return decompose(x, r)
+
+        monkeypatch.setattr(s3dsvd, "decompose", counted)
+        log = io.StringIO()
+        with pytest.raises(ValueError, match="seeds must be a non-empty sequence"):
+            cli.run_sweep(x, ["s3dsvd", "tucker", "cpd"], [2, 4], seeds=(), log=log)
+        assert calls == []
+        assert log.getvalue() == ""
+
     def test_per_threshold_reported_on_stderr(self, blob_volume, tmp_path, capsys):
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",
                 "--ks", "2,4", "--csv", tmp_path / "s.csv")
@@ -817,6 +835,16 @@ class TestImportCost:
         # scipy.stats costs about half a second of every CLI call, and the
         # package computes its one Student-t quantile itself.
         code = "import sys, volrank.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        # It brings logging and threading, about 10 ms of every CLI call;
+        # only a threaded cpd study needs its thread pool.
+        code = "import sys, volrank.cli; print('concurrent.futures' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
             text=True, timeout=120, check=True,

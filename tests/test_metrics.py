@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from volrank import cli, errors, metrics, s3dsvd
 
 from oracles import mse_loop
+from test_cli import _subprocess_env
 
 
 def model_with_qsigma(values):
@@ -250,3 +254,65 @@ class TestScore:
         with np.errstate(over="ignore"):
             with pytest.raises(errors.NumericError, match="psnr is undefined"):
                 metrics.score(x, np.full((2, 2, 2), 1e200), "recon", 0)
+
+
+class TestBlockedResidual:
+    # The residual is summed over blocks of metrics._BLOCK entries; the sizes
+    # straddle one, two and several blocks.
+    BLOCK = metrics._BLOCK
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1, 1), (1, 1, BLOCK - 1), (1, 1, BLOCK), (1, 1, BLOCK + 1),
+         (1, 1, 3 * BLOCK + 5), (128, 128, 128)],
+    )
+    def test_mse_matches_an_exact_sum(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        xhat = x + rng.normal(scale=1e-3, size=shape)
+        exact = math.fsum(((x - xhat) ** 2).ravel().tolist()) / x.size
+        assert metrics.mse(x, xhat) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["mse", "psnr", "rel_err", "score"])
+    def test_no_volume_sized_array_is_formed(self, name):
+        # One residual of a 128^3 float64 pair is 16.8 MB.
+        rng = np.random.default_rng(5)
+        x = rng.random((128, 128, 128))
+        xhat = x + rng.normal(scale=1e-2, size=x.shape)
+        args = (x, xhat, "recon", 0) if name == "score" else (x, xhat)
+        tracemalloc.start()
+        try:
+            getattr(metrics, name)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(6)
+        x = rng.random((8, 40, 60))
+        xhat = x + rng.normal(scale=1e-2, size=x.shape)
+        x0, xhat0 = x.copy(), xhat.copy()
+        metrics.score(x, xhat, "recon", 0)
+        for f in (metrics.mse, metrics.psnr, metrics.rel_err):
+            f(x, xhat)
+        assert np.array_equal(x, x0) and np.array_equal(xhat, xhat0)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # A single np.dot over the whole residual is split across threads
+        # above 10,000 entries, which changes the last bits of its sum.
+        code = (
+            "import numpy as np; from volrank import metrics; "
+            "rng = np.random.default_rng(0); x = rng.random((96, 128, 160)); "
+            "xhat = x + 1e-3 * rng.standard_normal(x.shape); "
+            "print(metrics.mse(x, xhat).hex(), metrics.psnr(x, xhat).hex())"
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outs[0] == outs[1]

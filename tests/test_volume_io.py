@@ -755,6 +755,25 @@ class TestReadModel:
         assert peak < 1.25 * path.stat().st_size
 
 
+class TestWriteModel:
+    def test_file_is_written_from_the_model_arrays(self, tmp_path):
+        # Building the file's bytes first and then writing them peaks at
+        # twice the file's size.
+        rng = np.random.default_rng(9)
+        dims, rank = (40, 48, 56), 40
+        factors = tuple(rng.standard_normal((n, rank)) for n in dims)
+        model = s3dsvd.S3dModel(dims, rank, factors, rng.standard_normal((rank,) * 3))
+        path = tmp_path / "m.s3dm"
+        tracemalloc.start()
+        try:
+            volume_io.write_model(path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == volume_io.model_to_bytes(model)
+        assert peak <= 1.25 * path.stat().st_size
+
+
 class TestShortStream:
     # A stream that yields fewer payload bytes than its size promised, as a
     # file cut short while it is read does, is refused by either parser.
