@@ -225,7 +225,8 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     NumericError
         If a Gram matrix, an MTTKRP (``x`` summed against matching columns
         of the other two factors), an updated factor or the weights are not
-        finite, as when ``x`` makes the normal equations overflow float64.
+        finite, as when ``x`` makes the normal equations overflow float64,
+        or if LAPACK fails on a normal-equation system even after the ridge.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
@@ -253,14 +254,17 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
                 rhs = np.einsum("rjl,jr->lr", np.tensordot(lo, x, (0, 0)), hi)
             _check_finite(gram, f"ALS mode-{mode + 1} Gram matrix")
             _check_finite(rhs, f"ALS mode-{mode + 1} MTTKRP")
-            # Cholesky is only the positive-definiteness test here.
             try:
-                np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                gram = gram + 1e-12 * np.eye(k)
-                ridge_applied = True
-                np.linalg.cholesky(gram)
-            factors[mode] = np.linalg.solve(gram, rhs.T).T
+                # Cholesky is only the positive-definiteness test here.
+                try:
+                    np.linalg.cholesky(gram)
+                except np.linalg.LinAlgError:
+                    gram = gram + 1e-12 * np.eye(k)
+                    ridge_applied = True
+                    np.linalg.cholesky(gram)
+                factors[mode] = np.linalg.solve(gram, rhs.T).T
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"ALS mode-{mode + 1} normal equations: {exc}") from exc
             _check_finite(factors[mode], f"ALS mode-{mode + 1} factor")
         # <x, xhat> from the last mode's MTTKRP, before normalization.
         inner = float(np.sum(factors[2] * rhs))
@@ -304,7 +308,7 @@ def _study_run(x, k, seed, max_iters, tol):
         model = cpd_decompose(x, k, seed, max_iters=max_iters, tol=tol)
         elapsed = time.perf_counter() - start
         row = metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=elapsed)
-    except (ArithmeticError, np.linalg.LinAlgError, DegenerateInputError) as exc:
+    except (ArithmeticError, DegenerateInputError) as exc:
         raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
     return (seed, row), model.converged
 

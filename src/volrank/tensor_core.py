@@ -236,7 +236,7 @@ def svd(m):
     ------
     NumericError
         If ``m`` contains non-finite values or the factorization fails
-        to converge even under the fallback driver.
+        to converge.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -246,15 +246,8 @@ def svd(m):
     _check_finite(m, "matrix")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # The divide-and-conquer driver occasionally fails; the slower
-        # one-sided driver is more robust.
-        import scipy.linalg  # kept off the start-up path of every CLI call
-
-        try:
-            u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericError(f"SVD failed to converge under both drivers: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed to converge: {exc}") from exc
     # Flip signs so each left singular vector's largest-magnitude entry is
     # positive; argmax takes the first maximum, which settles ties.
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0

@@ -332,7 +332,9 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
         scaled so the maximum is exactly 1 and values stay in [0, 1].
     ``blobs_noisy``
         The ``blobs`` volume plus uniform noise in [-noise, noise],
-        clipped back to [0, 1].
+        clipped back to [0, 1].  ``noise`` must satisfy
+        ``0 <= 2 * noise < inf``: numpy draws only from an interval of
+        finite width.
     """
     dims = tuple(map(operator.index, dims))
     if len(dims) != 3 or min(dims) < 1:
@@ -347,8 +349,8 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
         if blobs < 1:
             raise ValueError(f"blobs must be at least 1, got {blobs}")
         noise = float(noise)
-        if noise < 0.0:
-            raise ValueError(f"noise must be non-negative, got {noise}")
+        if not 0.0 <= 2.0 * noise < math.inf:
+            raise ValueError(f"noise must satisfy 0 <= 2 * noise < inf, got {noise}")
         profiles = [np.zeros((n, blobs)) for n in dims]
         grids = [np.arange(n, dtype=np.float64) for n in dims]
         for b in range(blobs):

@@ -7,6 +7,7 @@ import volrank
 from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
 from oracles import cpd_expand_loop, tucker_expand_loop
+from test_cli import LAPACK_FAILURES, lapack_failure_volume
 from test_s3dsvd import exact_multirank
 
 
@@ -325,6 +326,14 @@ class TestCpdDecompose:
         ):
             baselines.cpd_decompose(x, 2, 0)
 
+    @pytest.mark.parametrize("scale,k,cause", LAPACK_FAILURES)
+    def test_lapack_failure_raises_numeric_error_naming_the_mode(self, scale, k, cause):
+        with np.errstate(all="ignore"), pytest.raises(
+            errors.NumericError, match=rf"^ALS mode-[123] normal equations: {cause}$"
+        ) as info:
+            baselines.cpd_decompose(lapack_failure_volume(scale), k, 0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestFitError:
     def _direct(self, x, weights, factors):
@@ -483,14 +492,13 @@ class TestCpdStudy:
             baselines.cpd_study(x, 1, seeds=[3, 4], threads=threads)
 
     @pytest.mark.parametrize("threads", [None, 2])
-    def test_linalg_error_becomes_numeric_error(self, monkeypatch, threads):
-        def singular(x, k, seed, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
-
-        monkeypatch.setattr(baselines, "cpd_decompose", singular)
-        x, _ = rank_one_target(seed=23)
-        with pytest.raises(errors.NumericError, match="seed 7"):
-            baselines.cpd_study(x, 1, seeds=[7], threads=threads)
+    def test_linalg_error_becomes_numeric_error(self, threads):
+        x = lapack_failure_volume(1e3)
+        with np.errstate(all="ignore"), pytest.raises(
+            errors.NumericError, match="^cpd study run failed for seed 0: ALS mode-"
+        ) as info:
+            baselines.cpd_study(x, 4, seeds=[0], threads=threads)
+        assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
 """The package's public surface is the union of its modules' ``__all__``,
-no module imports a name it does not use, scipy is imported only where
-numpy has no substitute, every volume the package returns is in the
-layout that metrics and writers use without a copy, and the three models
-share one contract: ``dims, rank, factors`` first, and an orthogonal
-model is those plus a dense core.  The benchmark in ``perfbench/`` can
-still trace the package and read its sweep rows."""
+no module imports a name it does not use, numpy is the only runtime
+dependency and no module imports scipy, every volume the package returns
+is in the layout that metrics and writers use without a copy, and the
+three models share one contract: ``dims, rank, factors`` first, and an
+orthogonal model is those plus a dense core.  The benchmark in
+``perfbench/`` can still trace the package and read its sweep rows."""
 
 import ast
 import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -54,28 +55,34 @@ def test_every_module_level_import_is_used():
         assert sorted(imported - used) == [], path.name
 
 
-def _imports(node, scope=None):
-    """Yield ``(innermost enclosing function, module)`` for each absolute import."""
-    for child in ast.iter_child_nodes(node):
+def _imports(node):
+    """Yield the module of each absolute import anywhere under ``node``."""
+    for child in ast.walk(node):
         if isinstance(child, ast.Import):
-            for alias in child.names:
-                yield scope, alias.name
+            yield from (alias.name for alias in child.names)
         elif isinstance(child, ast.ImportFrom) and not child.level:
-            yield scope, child.module
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _imports(child, inner)
+            yield child.module
 
 
-def test_scipy_is_imported_only_by_the_svd_fallback():
+def test_no_module_imports_scipy():
     found = []
     for path in sorted(Path(volrank.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [
-            (path.name, scope, module)
-            for scope, module in _imports(tree)
+            (path.name, module) for module in _imports(tree)
             if module.split(".")[0] == "scipy"
         ]
-    assert found == [("tensor_core.py", "svd", "scipy.linalg")]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy serves the tests and the benchmark only.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    test_extra = project["optional-dependencies"]["test"]
+    assert "scipy" in [re.match(r"[\w.-]+", req).group() for req in test_extra]
 
 
 def _returned_volumes(dims, tmp_path):

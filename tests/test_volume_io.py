@@ -253,11 +253,28 @@ class TestGenSynthetic:
             ((4.9, 5, 6), {}, TypeError),
             ((4, 5, 6), {"seed": 2.7}, TypeError),
             ((4, 5, 6), {"blobs": 3.5}, TypeError),
+            # Wider than any interval numpy's uniform draw accepts.
+            *(((4, 4, 4), {"noise": noise}, ValueError)
+              for noise in (math.nan, math.inf, -math.inf, 1e308)),
         ],
     )
     def test_invalid_blobs_arguments(self, dims, kwargs, error):
         with pytest.raises(error):
             volume_io.gen_synthetic("blobs_noisy", dims, **{"seed": 0, **kwargs})
+
+    def test_widest_drawable_noise_is_accepted(self):
+        # 2 * widest is the largest finite float; the next float up overflows
+        # it.  Noise this wide clips every entry to 0 or 1, the same bytes as
+        # 1e200 always gave.
+        widest = np.finfo(np.float64).max / 2
+        for noise in (1e200, widest):
+            x = volume_io.gen_synthetic("blobs_noisy", (4, 4, 4), seed=0, noise=noise)
+            assert hashlib.sha256(volume_io.volume_to_bytes(x)).hexdigest() == (
+                "dc3668ad1e325c39df94a4fef38727e0ea84e904dfe7872c4b7fb76a640ecce3"
+            )
+        with pytest.raises(ValueError, match="noise"):
+            volume_io.gen_synthetic("blobs_noisy", (4, 4, 4), seed=0,
+                                    noise=np.nextafter(widest, np.inf))
 
     def test_numpy_integers_give_the_python_int_volume(self):
         want = volume_io.gen_synthetic("blobs", (4, 5, 6), seed=2, blobs=3)
