@@ -10,12 +10,14 @@ Two baselines are provided for comparison against the structured 3D SVD:
   level check.
 * CPD via ALS (alternating least squares) with seeded random
   initialization, per-sweep column normalization into non-negative
-  weights, and a ridge fallback when the normal equations are not
-  numerically positive definite.  Each sweep runs on numpy's BLAS and
-  LAPACK alone.  Its MTTKRPs (the volume summed against matching columns
-  of two factors) contract the volume one factor at a time (Phan,
-  Tichavsky & Cichocki, IEEE TSP 2013), and its stopping error comes from
-  the Gram identity, so it builds no unfolding, Khatri-Rao matrix or
+  weights, and a ridge scaled to the Gram matrix when the normal
+  equations are not numerically positive definite.  Each sweep runs on
+  numpy's BLAS and LAPACK alone.  Its MTTKRPs (the volume summed against
+  matching columns of two factors) contract the volume one factor at a
+  time (Phan, Tichavsky & Cichocki, IEEE TSP 2013) in a rank-major layout:
+  two GEMMs on reshape views of the volume per sweep, then one batched
+  matrix-vector product per mode.  Its stopping error comes from the Gram
+  identity, so it builds no unfolding, Khatri-Rao matrix or
   reconstruction.
 
 ``cpd_study`` runs the ALS fit once per seed and aggregates each metric
@@ -215,8 +217,17 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     non-negative ``weights``.  Iteration stops when the change in relative
     error between sweeps falls below ``tol`` or after ``max_iters`` sweeps;
     the error comes from :func:`_fit_error`.  A normal-equation matrix
-    whose Cholesky factorization fails gets a ``1e-12`` diagonal ridge and
-    the fit continues with ``ridge_applied`` set.
+    whose Cholesky factorization fails gets a diagonal ridge of ``1e-12``
+    times its mean diagonal (``1e-12`` when that is zero), so success does
+    not depend on the scale of ``x``, and the fit continues with
+    ``ridge_applied`` set.
+
+    The sweep holds each factor rank-major, shape ``(k, n_m)``.  It makes
+    two GEMMs on reshape views of ``x``: ``x3 = f3^T x_(3)``, shared by
+    modes 1 and 2, and ``t = f1^T x_(1)`` after mode 1's update.  Each
+    MTTKRP, in the same layout, is then one batched matrix-vector product
+    of ``x3`` or ``t`` with the rows of another factor (Kolda & Bader, SIAM
+    Review 2009, section 3), and ``numpy.linalg.solve`` takes it as it is.
 
     Raises
     ------
@@ -232,8 +243,12 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     k = _check_level(k, min(x.shape), "rank")
     _check_finite(x, "input tensor")
     seed = _check_seed(seed)
+    n1, n2, n3 = x.shape
     rng = np.random.default_rng(seed)
-    factors = [rng.random((n, k)) for n in x.shape]
+    # Rank-major factors: row r of ft[m] is column r of mode m + 1's factor.
+    ft = [np.ascontiguousarray(rng.random((n, k)).T) for n in x.shape]
+    # Both GEMMs read x in place: x_12_3 is the transposed (n1 n2, n3) view.
+    x_12_3, x_1_23 = x.reshape(n1 * n2, n3).T, x.reshape(n1, n2 * n3)
     weights = np.ones(k)
     normx = frobenius_norm(x)
     ridge_applied = False
@@ -241,40 +256,48 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     iterations = 0
     converged = False
     for sweep in range(max_iters):
-        # Modes 1 and 2 share x3 = x x_3 f3, as f3 changes only in mode 3.
-        x3 = np.tensordot(x, factors[2], 1)
+        grams = [None, ft[1] @ ft[1].T, ft[2] @ ft[2].T]
+        # Modes 1 and 2 share x3[r] = x x_3 f3[:, r], as f3 changes only in mode 3.
+        x3 = (ft[2] @ x_12_3).reshape(k, n1, n2)
         for mode in range(3):
-            lo, hi = [factors[m] for m in range(3) if m != mode]
-            gram = (hi.T @ hi) * (lo.T @ lo)
+            lo, hi = [grams[m] for m in range(3) if m != mode]
+            gram = hi * lo
+            # Each MTTKRP is one batched matvec: slice r of x3 or t times row r of a factor.
             if mode == 0:
-                rhs = np.einsum("ijr,jr->ir", x3, lo)
+                mttkrp = x3 @ ft[1][:, :, None]
             elif mode == 1:
-                rhs = np.einsum("ijr,ir->jr", x3, lo)
+                mttkrp = ft[0][:, None, :] @ x3
             else:
-                rhs = np.einsum("rjl,jr->lr", np.tensordot(lo, x, (0, 0)), hi)
+                t = (ft[0] @ x_1_23).reshape(k, n2, n3)
+                mttkrp = ft[1][:, None, :] @ t
+            mttkrp = mttkrp.reshape(k, -1)
             _check_finite(gram, f"ALS mode-{mode + 1} Gram matrix")
-            _check_finite(rhs, f"ALS mode-{mode + 1} MTTKRP")
+            # Checked as (n_m, k), so a reported flat index is the model's layout.
+            _check_finite(mttkrp.T, f"ALS mode-{mode + 1} MTTKRP")
             try:
                 # Cholesky is only the positive-definiteness test here.
                 try:
                     np.linalg.cholesky(gram)
                 except np.linalg.LinAlgError:
-                    gram = gram + 1e-12 * np.eye(k)
+                    # Scaled to the mean diagonal, so it does not vanish for a large x.
+                    gram = gram + 1e-12 * (np.trace(gram) / k or 1.0) * np.eye(k)
                     ridge_applied = True
                     np.linalg.cholesky(gram)
-                factors[mode] = np.linalg.solve(gram, rhs.T).T
+                ft[mode] = np.linalg.solve(gram, mttkrp)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(f"ALS mode-{mode + 1} normal equations: {exc}") from exc
-            _check_finite(factors[mode], f"ALS mode-{mode + 1} factor")
+            _check_finite(ft[mode].T, f"ALS mode-{mode + 1} factor")
+            if mode < 2:
+                grams[mode] = ft[mode] @ ft[mode].T
         # <x, xhat> from the last mode's MTTKRP, before normalization.
-        inner = float(np.sum(factors[2] * rhs))
-        norms = [np.linalg.norm(f, axis=0) for f in factors]
+        inner = float(np.sum(ft[2] * mttkrp))
+        norms = [np.linalg.norm(f, axis=1) for f in ft]
         weights = norms[0] * norms[1] * norms[2]
         _check_finite(weights, "ALS weights")
-        for f, n in zip(factors, norms):
-            f /= np.where(n == 0.0, 1.0, n)
+        for f, n in zip(ft, norms):
+            f /= np.where(n == 0.0, 1.0, n)[:, None]
         iterations = sweep + 1
-        err = _fit_error(normx, inner, weights, factors)
+        err = _fit_error(normx, inner, weights, tuple(f.T for f in ft))
         if prev_err is not None and abs(prev_err - err) < tol:
             converged = True
             break
@@ -282,7 +305,7 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     return CpModel(
         dims=x.shape,
         rank=k,
-        factors=tuple(factors),
+        factors=tuple(f.T for f in ft),
         weights=weights,
         seed=seed,
         iterations_run=iterations,

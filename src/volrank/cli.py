@@ -153,12 +153,13 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         hosvd_s = time.perf_counter() - start
     elif "cpd" in methods:
         _check_level(max(ks), min(np.shape(x)), "rank")
+    # Each reconstruction is scored where it is made, so none outlives its row.
     for method in methods:
         if method == "s3dsvd":
+            share = hosvd_s / len(ks)
             for k in ks:
-                xhat = s3dsvd.reconstruct(hosvd, k)
                 per = metrics.per(hosvd, k)
-                rows.append(metrics.score(x, xhat, "s3dsvd", k, per, hosvd_s / len(ks)))
+                rows.append(metrics.score(x, s3dsvd.reconstruct(hosvd, k), "s3dsvd", k, per, share))
                 say(f"sweep method=s3dsvd k={k} done")
             say(
                 f"per threshold {_fmt(PER_THRESHOLD)} first reached at"
@@ -169,8 +170,11 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 start = time.perf_counter()
                 model = baselines._hooi(x, hosvd, k)
                 elapsed = hosvd_s + (time.perf_counter() - start)
-                xhat = baselines.tucker_reconstruct(model)
-                rows.append(metrics.score(x, xhat, "tucker", k, time_s=elapsed))
+                rows.append(
+                    metrics.score(
+                        x, baselines.tucker_reconstruct(model), "tucker", k, time_s=elapsed
+                    )
+                )
                 say(f"sweep method=tucker k={k} done")
         else:
             for k in ks:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import volrank
 from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
 from oracles import cpd_expand_loop, tucker_expand_loop
-from test_cli import LAPACK_FAILURES, lapack_failure_volume
+from test_cli import LAPACK_FAILURES, _subprocess_env, fail_lapack
 from test_s3dsvd import exact_multirank
 
 
@@ -258,26 +260,35 @@ class TestCpdDecompose:
             base, rel=1e-12, abs=1e-12
         )
 
-    def test_contracted_mttkrp_sweep_matches_unfolding_sweep(self):
-        # Reference ALS sweep: each MTTKRP is the mode's unfolding times the
-        # Khatri-Rao product of the other two factors, lower mode fastest.
-        x = np.random.default_rng(27).random((6, 7, 8))
-        k, seed = 3, 5
+    @pytest.mark.parametrize(
+        "dims,data_seed,seed,sweeps", [((6, 7, 8), 27, 5, 1), ((5, 7, 9), 30, 2, 25)]
+    )
+    def test_contracted_mttkrp_sweep_matches_unfolding_sweep(self, dims, data_seed, seed, sweeps):
+        # Reference ALS: each MTTKRP is the mode's unfolding times the
+        # Khatri-Rao product of the other two factors, lower mode fastest,
+        # and each sweep ends with the fit's normalization.  Unequal sizes
+        # make a transposed factor or MTTKRP fail loudly.
+        x = np.random.default_rng(data_seed).random(dims)
+        k = 3
         rng = np.random.default_rng(seed)
         factors = [rng.random((n, k)) for n in x.shape]
-        for mode in range(3):
-            lo, hi = [factors[m] for m in range(3) if m != mode]
-            khatri_rao = (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)
-            gram = (hi.T @ hi) * (lo.T @ lo)
-            rhs = tc.unfold(x, mode + 1) @ khatri_rao
-            factors[mode] = np.linalg.solve(gram, rhs.T).T
-        norms = [np.linalg.norm(f, axis=0) for f in factors]
-        model = baselines.cpd_decompose(x, k, seed, max_iters=1)
-        assert model.iterations_run == 1
+        for _ in range(sweeps):
+            for mode in range(3):
+                lo, hi = [factors[m] for m in range(3) if m != mode]
+                khatri_rao = (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)
+                gram = (hi.T @ hi) * (lo.T @ lo)
+                rhs = tc.unfold(x, mode + 1) @ khatri_rao
+                factors[mode] = np.linalg.solve(gram, rhs.T).T
+            norms = [np.linalg.norm(f, axis=0) for f in factors]
+            weights = norms[0] * norms[1] * norms[2]
+            factors = [f / n for f, n in zip(factors, norms)]
+        model = baselines.cpd_decompose(x, k, seed, max_iters=sweeps, tol=0.0)
+        assert model.iterations_run == sweeps
         assert not model.ridge_applied
-        assert np.max(np.abs(model.weights - norms[0] * norms[1] * norms[2])) < 1e-10
-        for got, f, n in zip(model.factors, factors, norms):
-            assert np.max(np.abs(got - f / n)) < 1e-10
+        assert np.max(np.abs(model.weights - weights)) < 1e-10
+        for got, f in zip(model.factors, factors):
+            assert got.shape == f.shape
+            assert np.max(np.abs(got - f)) < 1e-10
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -326,13 +337,57 @@ class TestCpdDecompose:
         ):
             baselines.cpd_decompose(x, 2, 0)
 
-    @pytest.mark.parametrize("scale,k,cause", LAPACK_FAILURES)
-    def test_lapack_failure_raises_numeric_error_naming_the_mode(self, scale, k, cause):
-        with np.errstate(all="ignore"), pytest.raises(
-            errors.NumericError, match=rf"^ALS mode-[123] normal equations: {cause}$"
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("name,cause", LAPACK_FAILURES)
+    def test_lapack_failure_raises_numeric_error_naming_the_mode(
+        self, monkeypatch, name, cause, mode
+    ):
+        # Each mode of the first sweep calls cholesky and solve once on a
+        # well-posed system, so a failure from call ``mode`` on hits that mode.
+        x = np.random.default_rng(28).random((5, 6, 7))
+        fail_lapack(monkeypatch, name, cause, after=mode - 1)
+        with pytest.raises(
+            errors.NumericError, match=rf"^ALS mode-{mode} normal equations: {cause}$"
         ) as info:
-            baselines.cpd_decompose(lapack_failure_volume(scale), k, 0)
+            baselines.cpd_decompose(x, 2, 0)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 255.0, 65535.0, 1e6, 1e9])
+    def test_ridge_scales_with_the_volume(self, scale, k):
+        # A rank-one volume fit at a higher rank needs the ridge.  A fixed
+        # 1e-12 vanished in the rounding of the Gram matrices of 8- and
+        # 16-bit value ranges, and LAPACK failed on the ridged system.
+        x = volume_io.gen_synthetic("multirank", (10, 11, 12), seed=0, rho=1) * scale
+        model = baselines.cpd_decompose(x, k, 0)
+        assert metrics.rel_err(x, baselines.cpd_reconstruct(model)) < 1e-7
+
+
+class TestCpdBlasThreads:
+    """A CPD model's bytes do not depend on the OpenBLAS thread count.
+
+    Each GEMM of the sweep gives every output element to one thread, so
+    splitting the work changes no sum's order.
+    """
+
+    CHILD = (
+        "import sys; from volrank import cpd_decompose, read_volume, write_model; "
+        "write_model(sys.argv[2], cpd_decompose(read_volume(sys.argv[1]), 8, 1,"
+        " max_iters=50, tol=0.0))"
+    )
+
+    def test_one_and_two_threads_give_the_same_bytes(self, tmp_path):
+        volume = tmp_path / "x.s3dv"
+        volume_io.write_volume(volume, volume_io.gen_synthetic("blobs_noisy", (40, 48, 56)))
+        models = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"t{threads}.s3dm"
+            subprocess.run(
+                [sys.executable, "-c", self.CHILD, str(volume), str(path)],
+                env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=120,
+            )
+            models.append(path.read_bytes())
+        assert models[0] == models[1]
 
 
 class TestFitError:
@@ -492,12 +547,13 @@ class TestCpdStudy:
             baselines.cpd_study(x, 1, seeds=[3, 4], threads=threads)
 
     @pytest.mark.parametrize("threads", [None, 2])
-    def test_linalg_error_becomes_numeric_error(self, threads):
-        x = lapack_failure_volume(1e3)
-        with np.errstate(all="ignore"), pytest.raises(
+    def test_linalg_error_becomes_numeric_error(self, monkeypatch, threads):
+        x = np.random.default_rng(29).random((5, 6, 7))
+        fail_lapack(monkeypatch, "cholesky", "Matrix is not positive definite")
+        with pytest.raises(
             errors.NumericError, match="^cpd study run failed for seed 0: ALS mode-"
         ) as info:
-            baselines.cpd_study(x, 4, seeds=[0], threads=threads)
+            baselines.cpd_study(x, 2, seeds=[0], threads=threads)
         assert isinstance(info.value.__cause__.__cause__, np.linalg.LinAlgError)
 
     def test_empty_seeds_rejected(self):

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -414,6 +415,28 @@ class TestSweep:
             assert np.array_equal(model.core, alone.core)
             assert model.fit_history == alone.fit_history
 
+    def test_one_reconstruction_alive_at_a_time(self, blob_volume, monkeypatch):
+        # Every earlier row's reconstruction is freed before the next fit or
+        # reconstruction, so a sweep holds at most one volume-sized result.
+        made = []
+
+        def tracked(real):
+            def wrapper(*args, **kwargs):
+                assert [ref() for ref in made] == [None] * len(made)
+                out = real(*args, **kwargs)
+                if isinstance(out, np.ndarray):
+                    made.append(weakref.ref(out))
+                return out
+
+            return wrapper
+
+        for module, name in ((s3dsvd, "reconstruct"), (baselines, "tucker_reconstruct"),
+                             (baselines, "_hooi")):
+            monkeypatch.setattr(module, name, tracked(getattr(module, name)))
+        x = volume_io.read_volume(blob_volume)
+        rows = cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 3, 4]).rows
+        assert len(rows) == len(made) == 6
+
     @pytest.mark.parametrize(
         "methods, calls",
         [(["s3dsvd", "tucker"], 1), (["tucker"], 1), (["tucker", "cpd", "s3dsvd"], 1),
@@ -771,13 +794,22 @@ def _huge_volume(tmp_path):
     return path
 
 
-# Rank-one volumes fit at a higher rank: LAPACK fails on a CPD normal-equation
-# system, in the Cholesky retried after the ridge or in the solve.
-LAPACK_FAILURES = [(1e3, 4, "Matrix is not positive definite"), (1e9, 2, "Singular matrix")]
+# The two ways LAPACK fails on a CPD normal-equation system: in the Cholesky
+# retried after the ridge, or in the solve.  Each is raised as numpy raises it.
+LAPACK_FAILURES = [("cholesky", "Matrix is not positive definite"), ("solve", "Singular matrix")]
 
 
-def lapack_failure_volume(scale):
-    return volume_io.gen_synthetic("multirank", (10, 11, 12), seed=0, rho=1) * scale
+def fail_lapack(monkeypatch, name, cause, after=0):
+    """Make ``np.linalg.<name>`` raise ``LinAlgError(cause)`` from its call ``after + 1`` on."""
+    real, calls = getattr(np.linalg, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > after:
+            raise np.linalg.LinAlgError(cause)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, failing)
 
 
 def _subprocess_env(**extra):
@@ -834,14 +866,16 @@ class TestOverflow:
         assert len(lines) == 1
         assert lines[0].startswith("volrank: error: NumericError: ")
 
-    @pytest.mark.parametrize("scale,k,cause", LAPACK_FAILURES)
-    def test_cpd_lapack_failure_exits_4(self, tmp_path, scale, k, cause):
-        vol, out = tmp_path / "v.s3dv", tmp_path / "m.s3dm"
-        volume_io.write_volume(vol, lapack_failure_volume(scale))
-        done = _cli_subprocess(["decompose", "--input", vol, "--method", "cpd",
-                                "--rank", k, "--output", out])
-        assert done.returncode == 4
-        lines = done.stderr.splitlines()
+    @pytest.mark.parametrize("name,cause", LAPACK_FAILURES)
+    def test_cpd_lapack_failure_exits_4(self, blob_volume, tmp_path, monkeypatch, capsys,
+                                        name, cause):
+        out = tmp_path / "m.s3dm"
+        capsys.readouterr()
+        fail_lapack(monkeypatch, name, cause)
+        code = run_cli("decompose", "--input", blob_volume, "--method", "cpd",
+                       "--rank", "2", "--output", out)
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("volrank: error: NumericError: ALS mode-")
         assert lines[0].endswith(f" normal equations: {cause}")
