@@ -72,7 +72,10 @@ def _ks_arg(text):
 
 
 def _seeds_arg(text):
-    return _int_list(text, "--seeds", minimum=0)
+    seeds = _int_list(text, "--seeds", minimum=0)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError("--seeds entries must be unique")
+    return seeds
 
 
 def _slices_arg(text):

@@ -1,9 +1,10 @@
 """Reconstruction quality metrics: MSE, PSNR, relative error, and the
 percentage-of-energy-retained (PER) curve over qsigma coefficients.
 
-MSE, PSNR and relative error take the squared residual from one blocked
-pass over both volumes, which forms no volume-sized temporary and sums in
-a fixed order, so MSE and PSNR do not depend on BLAS's thread count.
+MSE, PSNR and relative error take the squared residual, and relative
+error ``||x||**2`` too, from one blocked pass over both volumes
+(:func:`volrank.tensor_core._residual`), which forms no volume-sized
+temporary and, like every volume sum, does not depend on BLAS's thread count.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError
-from .tensor_core import _check_level, _check_pair, frobenius_norm
+from .tensor_core import _check_level, _check_pair, _residual, frobenius_norm
 
 __all__ = [
     "mse",
@@ -23,11 +24,6 @@ __all__ = [
 ]
 
 
-# Entries per block of the residual pass: 64 KB of float64 stays in cache,
-# and each np.dot stays below OpenBLAS's threading cutoff of 10,000 entries.
-_BLOCK = 8192
-
-
 def mse(x, xhat):
     """Mean squared difference between ``x`` and ``xhat``.
 
@@ -35,26 +31,7 @@ def mse(x, xhat):
     residuals above about 1e154.
     """
     x, xhat = _check_pair(x, xhat)
-    return _residual(x, xhat) / x.size
-
-
-def _residual(x, xhat):
-    """``||x - xhat||**2``, which is ``inf`` if it overflows.
-
-    One pass over ``_BLOCK``-entry blocks of the raveled arrays, each
-    subtracted into one scratch buffer and its square added in index
-    order: no array the size of the volume is formed, and the sum is the
-    same whatever BLAS's thread count.
-    """
-    a, b = x.ravel(), xhat.ravel()
-    n = a.size
-    buf = np.empty(min(n, _BLOCK))
-    sq = 0.0
-    with np.errstate(over="ignore"):  # an overflow is the inf its callers test
-        for i in range(0, n, _BLOCK):
-            d = np.subtract(a[i : i + _BLOCK], b[i : i + _BLOCK], out=buf[: n - i])
-            sq += float(np.dot(d, d))
-    return sq
+    return _residual(x, xhat)[0] / x.size
 
 
 def _norm(x, xhat, sq):
@@ -73,7 +50,7 @@ def psnr(x, xhat):
     infinite or zero.
     """
     x, xhat = _check_pair(x, xhat)
-    return _psnr(x, xhat, _residual(x, xhat))
+    return _psnr(x, xhat, _residual(x, xhat)[0])
 
 
 def _psnr(x, xhat, sq):
@@ -97,14 +74,14 @@ def _psnr(x, xhat, sq):
 
 
 def rel_err(x, xhat):
-    """Relative Frobenius error ``||x - xhat|| / ||x||``."""
+    """Relative Frobenius error ``||x - xhat|| / frobenius_norm(x)``."""
     x, xhat = _check_pair(x, xhat)
-    return _rel_err(x, xhat, _residual(x, xhat))
+    return _rel_err(x, xhat, *_residual(x, xhat, with_norm=True))
 
 
-def _rel_err(x, xhat, sq):
-    """``||x - xhat|| / ||x||`` given ``sq = ||x - xhat||**2``; a zero ``x`` raises."""
-    normx = frobenius_norm(x)
+def _rel_err(x, xhat, sq, normsq):
+    """``||x - xhat|| / ||x||`` given their squares ``sq`` and ``normsq``; a zero ``x`` raises."""
+    normx = math.sqrt(normsq) if normsq < math.inf else frobenius_norm(x)
     if normx == 0.0:
         raise DegenerateInputError("rel_err is undefined for a zero reference")
     return _norm(x, xhat, sq) / normx
@@ -121,13 +98,13 @@ def score(x, xhat, method, k, per=None, time_s=None):
     :func:`mse` and :func:`rel_err` return.
     """
     x, xhat = _check_pair(x, xhat)
-    sq = _residual(x, xhat)
+    sq, normsq = _residual(x, xhat, with_norm=True)
     return {
         "method": method,
         "k": k,
         "psnr_db": _psnr(x, xhat, sq),
         "mse": sq / x.size,
-        "rel_err": _rel_err(x, xhat, sq),
+        "rel_err": _rel_err(x, xhat, sq, normsq),
         "per": per,
         "time_s": time_s,
     }

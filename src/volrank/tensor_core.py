@@ -27,9 +27,13 @@ Conventions used throughout the package:
   goes through :func:`svd` (T. F. Chan, ACM TOMS 8(1), 1982).
 * :func:`mode_product` writes its result in C order with no transpose
   copy, as one matrix product per mode.
-* The Kruskal sum of weighted rank-one terms, which serves CPD models
-  and the s3dsvd diagonal expansion, is one GEMM whose output is
-  already in C order.
+* The Kruskal sum of weighted rank-one terms, which serves CPD models,
+  the s3dsvd diagonal expansion and the synthetic volumes, is one GEMM
+  whose output is already in C order.
+* Every sum over a volume, in :func:`inner_product`, :func:`frobenius_norm`
+  and the metrics, adds one ``np.dot`` per ``_BLOCK``-entry block in index
+  order.  No dot is long enough for BLAS to thread, so no sum's bits
+  depend on the thread count.
 """
 
 from dataclasses import dataclass
@@ -110,10 +114,43 @@ def _check_pair(a, b):
     return a, b
 
 
+# Entries per block of a sum over a volume: 64 KB of float64 stays in cache,
+# and each np.dot stays below OpenBLAS's threading cutoff of 10,000 entries.
+_BLOCK = 8192
+
+
+def _blocks(a, b):
+    """Matching ``_BLOCK``-entry blocks of raveled ``a`` and ``b``, in index order."""
+    a, b = a.ravel(), b.ravel()
+    for i in range(0, a.size, _BLOCK):
+        yield a[i : i + _BLOCK], b[i : i + _BLOCK]
+
+
+def _residual(a, b, with_norm=False):
+    """``(||a - b||**2, ||a||**2)``, the second only ``with_norm`` (else 0.0).
+
+    One pass over :func:`_blocks`, each block of ``a - b`` subtracted into
+    one scratch buffer, so no volume-sized array is formed.  ``||a||**2``
+    adds the dots :func:`frobenius_norm` adds; an overflowed sum is ``inf``.
+    """
+    buf = np.empty(min(a.size, _BLOCK))
+    sq = normsq = 0.0
+    with np.errstate(over="ignore"):  # an overflow is the inf its callers test
+        for u, v in _blocks(a, b):
+            d = np.subtract(u, v, out=buf[: u.size])
+            sq += float(np.dot(d, d))
+            if with_norm:
+                normsq += float(np.dot(u, u))
+    return sq, normsq
+
+
 def inner_product(a, b):
-    """Frobenius inner product of two tensors of identical shape."""
+    """Frobenius inner product of two tensors of identical shape, summed over :func:`_blocks`."""
     a, b = _check_pair(a, b)
-    return float(np.dot(a.ravel(), b.ravel()))
+    total = 0.0
+    for u, v in _blocks(a, b):
+        total += float(np.dot(u, v))
+    return total
 
 
 def frobenius_norm(a):

@@ -35,7 +35,7 @@ import numpy as np
 from .baselines import CpModel, TuckerModel, _check_seed
 from .errors import NumericError, ParseError, ShapeError
 from .s3dsvd import S3dModel, expand
-from .tensor_core import _check_finite, _check_level, as_tensor3
+from .tensor_core import _check_finite, _check_level, _rank_one_sum, as_tensor3
 
 __all__ = [
     "gen_synthetic",
@@ -76,7 +76,8 @@ def _volume_parts(x, dtype):
     """Check a volume for writing; return its header and C-ordered payload array.
 
     Raises ``ShapeError``, then ``NumericError`` for a non-finite value,
-    then ``ValueError`` for an unknown ``dtype``.
+    then ``ValueError`` for an unknown ``dtype``, then ``NumericError``,
+    as the reader words it, for a value that overflows a float32 payload.
     """
     x = as_tensor3(x)
     _check_finite(x, "volume")
@@ -84,7 +85,11 @@ def _volume_parts(x, dtype):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     code = _DTYPE_NAMES[dtype]
     header = VOLUME_MAGIC + struct.pack("<HHIII", FORMAT_VERSION, code, *x.shape)
-    return header, np.ascontiguousarray(x, dtype=_DTYPE_CODES[code])
+    with np.errstate(over="ignore"):  # a cast that overflows is the inf checked below
+        payload = np.ascontiguousarray(x, dtype=_DTYPE_CODES[code])
+    if payload is not x:
+        _check_finite(payload, "volume payload")
+    return header, payload
 
 
 def volume_to_bytes(x, dtype="float64"):
@@ -360,9 +365,9 @@ def gen_synthetic(kind, dims, seed=0, rho=4, blobs=32, noise=0.05):
             for profile, g, c, w in zip(profiles, grids, centers, widths):
                 profile[:, b] = np.exp(-((g - c) ** 2) / (2.0 * w**2))
             profiles[0][:, b] *= amp
-        x = np.einsum("ib,jb,kb->ijk", *profiles, optimize=True)
+        x = _rank_one_sum(np.ones(blobs), *profiles)
         x /= np.max(x)
         if kind == "blobs_noisy":
             x = np.clip(x + rng.uniform(-noise, noise, size=dims), 0.0, 1.0)
-        return np.ascontiguousarray(x)
+        return x
     raise ValueError(f"unknown kind {kind!r}; expected multirank, blobs, or blobs_noisy")

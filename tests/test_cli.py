@@ -560,7 +560,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--seeds", "0,x"), ("--seeds", "0,-1"), ("--method", ","),
+        [("--seeds", "0,x"), ("--seeds", "0,-1"), ("--seeds", "5,5"), ("--method", ","),
          ("--method", "s3dsvd,s3dsvd")],
     )
     def test_bad_seeds_or_methods_exit_2(self, blob_volume, tmp_path, flag, value):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from volrank import cli, errors, metrics, s3dsvd
+from volrank import cli, errors, metrics, s3dsvd, tensor_core
 
 from oracles import mse_loop
 from test_cli import _subprocess_env
@@ -257,21 +257,39 @@ class TestScore:
 
 
 class TestBlockedResidual:
-    # The residual is summed over blocks of metrics._BLOCK entries; the sizes
+    # Sums over a volume add blocks of tensor_core._BLOCK entries; the sizes
     # straddle one, two and several blocks.
-    BLOCK = metrics._BLOCK
+    BLOCK = tensor_core._BLOCK
+    SHAPES = [(1, 1, 1), (1, 1, BLOCK - 1), (1, 1, BLOCK), (1, 1, BLOCK + 1),
+              (1, 1, 3 * BLOCK + 5), (128, 128, 128)]
 
-    @pytest.mark.parametrize(
-        "shape",
-        [(1, 1, 1), (1, 1, BLOCK - 1), (1, 1, BLOCK), (1, 1, BLOCK + 1),
-         (1, 1, 3 * BLOCK + 5), (128, 128, 128)],
-    )
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_mse_matches_an_exact_sum(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = rng.standard_normal(shape)
         xhat = x + rng.normal(scale=1e-3, size=shape)
         exact = math.fsum(((x - xhat) ** 2).ravel().tolist()) / x.size
         assert metrics.mse(x, xhat) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inner_product_matches_an_exact_sum(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        a = rng.random(shape)
+        b = rng.random(shape)
+        exact = math.fsum((a * b).ravel().tolist())
+        assert tensor_core.inner_product(a, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 3 * BLOCK + 5), (40, 50, 60)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_rel_err_divides_by_frobenius_norm(self, shape, scale):
+        # At 1e200 the pass's ||x||**2 overflows and frobenius_norm rescales.
+        rng = np.random.default_rng(sum(shape))
+        x = scale * rng.random(shape)
+        xhat = x + scale * rng.normal(scale=1e-3, size=shape)
+        want = metrics._norm(x, xhat, tensor_core._residual(x, xhat)[0]) / (
+            tensor_core.frobenius_norm(x))
+        assert metrics.rel_err(x, xhat) == want
+        assert metrics.score(x, xhat, "recon", 0)["rel_err"] == want
 
     @pytest.mark.parametrize("name", ["mse", "psnr", "rel_err", "score"])
     def test_no_volume_sized_array_is_formed(self, name):
@@ -299,13 +317,16 @@ class TestBlockedResidual:
         assert np.array_equal(x, x0) and np.array_equal(xhat, xhat0)
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # A single np.dot over the whole residual is split across threads
+        # A single np.dot over a whole volume is split across threads
         # above 10,000 entries, which changes the last bits of its sum.
         code = (
-            "import numpy as np; from volrank import metrics; "
+            "import numpy as np; from volrank import metrics, tensor_core as tc; "
             "rng = np.random.default_rng(0); x = rng.random((96, 128, 160)); "
             "xhat = x + 1e-3 * rng.standard_normal(x.shape); "
-            "print(metrics.mse(x, xhat).hex(), metrics.psnr(x, xhat).hex())"
+            "print(metrics.mse(x, xhat).hex(), metrics.psnr(x, xhat).hex(), "
+            "tc.inner_product(x, xhat).hex(), tc.frobenius_norm(x).hex(), "
+            "metrics.rel_err(x, xhat).hex(), "
+            "metrics.score(x, xhat, 'recon', 0)['rel_err'].hex())"
         )
         outs = [
             subprocess.run(

@@ -6,6 +6,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,27 @@ class TestWritersRejectNonFinite:
         with pytest.raises(ValueError):
             volume_io.write_volume(tmp_path / "w.s3dv", np.zeros((2, 2, 2)), "int8")
         assert list(tmp_path.iterdir()) == []
+
+    def test_float32_overflow_is_refused_before_the_file(self, tmp_path):
+        # 1e39 is finite in float64 but overflows float32 to inf.
+        x = np.full((2, 2, 3), 1e39)
+        x[0, 0, 0] = 1.0
+        data = bytearray(volume_io.volume_to_bytes(np.ones((2, 2, 3)), "float32"))
+        struct.pack_into("<f", data, 24, math.inf)
+        with pytest.raises(errors.NumericError) as read:
+            volume_io.volume_from_bytes(bytes(data))
+        path = tmp_path / "v32.s3dv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NumericError) as written:
+                volume_io.write_volume(path, x, dtype="float32")
+        assert str(written.value) == str(read.value)
+        assert not path.exists()
+
+    def test_float32_underflow_to_zero_is_written(self, tmp_path):
+        path = tmp_path / "v32.s3dv"
+        volume_io.write_volume(path, np.full((2, 2, 3), 1e-50), dtype="float32")
+        assert np.array_equal(volume_io.read_volume(path), np.zeros((2, 2, 3)))
 
     def test_volume_checks_run_shape_then_finite_then_dtype(self, tmp_path):
         with pytest.raises(errors.ShapeError):
