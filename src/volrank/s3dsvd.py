@@ -3,10 +3,14 @@ signed quasi-singular coefficient sequence for progressive reconstruction.
 
 The decomposition keeps the ``r`` leading left singular vectors of each
 unfolding, taken from the SVD of the small triangular factor of a QR of
-the unfolding's transpose (:func:`volrank.tensor_core.mode_factor`),
-contracts the input against them to obtain an ``r x r x r`` core ``g``,
-and reads the signed core diagonal ``qsigma[i] = g[i, i, i]`` in index
-order (no re-sorting; magnitudes are usually but not always
+the unfolding's transpose (:func:`volrank.tensor_core.mode_factor`).
+That QR is a blocked TSQR over row blocks of at least 1,024 rows, fixed
+by the shape alone (Demmel, Grigori, Hoemmen & Langou, SISC 34(1),
+2012); it and the SVD run on one OpenBLAS thread, so a model's bytes do
+not depend on the thread count.  The input is contracted against the
+factors to obtain an ``r x r x r`` core ``g``, and the signed core
+diagonal ``qsigma[i] = g[i, i, i]`` is read in index order (no
+re-sorting; magnitudes are usually but not always
 non-increasing, see :func:`ordering_report`).
 
 Truncated reconstruction at level ``k`` uses the leading ``k`` columns of

@@ -326,3 +326,48 @@ class TestBlasThreads:
         psnr1 = metrics.psnr(x, s3dsvd.reconstruct(one, self.R))
         psnr2 = metrics.psnr(x, s3dsvd.reconstruct(two, self.R))
         assert abs(psnr1 - psnr2) < 1e-9
+
+
+class TestThreadCountBytes:
+    """S3DM bytes do not depend on the OpenBLAS thread count.
+
+    Every QR and SVD of a per-mode factor runs on one OpenBLAS thread,
+    and the GEMMs and the blocked volume sums give each output element
+    to one thread.  Before that, threaded QRs of tall unfoldings changed
+    the last bits of both volumes' s3dsvd and Tucker models.
+    """
+
+    FITS = (((96, 128, 160), 48), ((128, 128, 128), 32))
+    CHILD = (
+        "import sys\n"
+        "from volrank import decompose, read_volume, tucker_decompose, write_model\n"
+        "volumes, out = sys.argv[1:3]\n"
+        "for name, r in zip(sys.argv[3::2], sys.argv[4::2]):\n"
+        "    x = read_volume(f'{volumes}/{name}.s3dv')\n"
+        "    write_model(f'{out}/{name}-s3dsvd.s3dm', decompose(x, int(r)))\n"
+        "    write_model(f'{out}/{name}-tucker.s3dm', tucker_decompose(x, 16))\n"
+    )
+
+    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path):
+        if tc._openblas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found, so its LAPACK "
+                        "calls cannot be held to one thread")
+        args = []
+        for dims, r in self.FITS:
+            name = "x".join(map(str, dims))
+            x = volume_io.gen_synthetic("blobs_noisy", dims, seed=0)
+            volume_io.write_volume(tmp_path / f"{name}.s3dv", x)
+            args += [name, str(r)]
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            subprocess.run(
+                [sys.executable, "-c", self.CHILD, str(tmp_path), str(out), *args],
+                env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
+            )
+            files[threads] = {f.name: f.read_bytes() for f in sorted(out.glob("*.s3dm"))}
+        assert len(files["1"]) == 4
+        assert files["1"].keys() == files["2"].keys()
+        differ = [name for name in files["1"] if files["1"][name] != files["2"][name]]
+        assert differ == []

@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -7,6 +10,7 @@ import pytest
 
 from volrank import errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
+from test_cli import _subprocess_env
 from oracles import (
     inner_product_loop,
     jacobi_singular_values,
@@ -273,6 +277,142 @@ class TestModeFactor:
     def test_rejects_a_non_tensor(self):
         with pytest.raises(errors.ShapeError):
             tc.mode_factor(np.ones((3, 4)), 1, 2)
+
+    # (p, n, q, QRs): the unfolding's transpose has p q rows of n columns,
+    # in whole slabs of q rows, and a TSQR block holds at least 1,024 rows.
+    # The rows fill one block exactly; fill one block plus one row (slabs
+    # of one row); or fill nine blocks, whose merges of eight R factors
+    # leave two for a second merge.
+    EDGES = [((32, 8, 32), 1), ((1025, 8, 1), 3), ((80, 128, 120), 12)]
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("pnq, qrs", EDGES)
+    def test_tsqr_block_edges(self, monkeypatch, pnq, qrs, mode):
+        p, n, q = pnq
+        dims = [p, q]
+        dims.insert(mode - 1, n)
+        x = np.random.default_rng(p + n + q).standard_normal(dims)
+        calls, qr = [], np.linalg.qr
+        monkeypatch.setattr(tc.np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode))
+        got = tc.mode_factor(x, mode, 4)
+        assert len(calls) == qrs
+        want = tc.svd(tc.unfold(x, mode)).u[:, :4]
+        assert np.max(np.abs(got - want)) < 1e-10
+        for j in range(4):
+            assert got[np.argmax(np.abs(got[:, j])), j] > 0
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_peak_memory_is_a_few_blocks(self, mode):
+        # A quarter of the 16.8 MB volume; one unfolding copy is all of it.
+        x = np.random.default_rng(13).standard_normal((128, 128, 128))
+        tracemalloc.start()
+        try:
+            tc.mode_factor(x, mode, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+class TestOneBlasThread:
+    """``tc._one_blas_thread`` holds numpy's OpenBLAS at one thread inside."""
+
+    @pytest.fixture
+    def threads(self):
+        calls = tc._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        get, set_ = calls
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_restores_the_count_on_exit(self, threads):
+        with tc._one_blas_thread:
+            assert threads() == 1
+        assert threads() == 2
+
+    def test_restores_the_count_when_the_svd_fails(self, threads, monkeypatch):
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(tc.np.linalg, "svd", diverges)
+        with pytest.raises(errors.NumericError, match="^SVD failed to converge"):
+            tc.mode_factor(np.random.default_rng(14).standard_normal((8, 40, 40)), 1, 2)
+        assert threads() == 2
+        assert tc._one_blas_thread._depth == 0
+
+    def test_nested_use_keeps_one_thread_until_the_last_exit(self, threads):
+        with tc._one_blas_thread:
+            with tc._one_blas_thread:
+                assert threads() == 1
+            assert threads() == 1
+        assert threads() == 2
+
+    @pytest.mark.parametrize("library", ["missing", "without the symbols"])
+    def test_without_the_library_it_does_nothing(self, monkeypatch, library):
+        x = np.random.default_rng(15).standard_normal((40, 48, 56))
+        want = [tc.mode_factor(x, mode, 8) for mode in (1, 2, 3)]
+
+        def cdll(path):
+            if library == "missing":
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        tc._openblas_threads.cache_clear()
+        try:
+            assert tc._openblas_threads() is None
+            with tc._one_blas_thread:
+                got = [tc.mode_factor(x, mode, 8) for mode in (1, 2, 3)]
+        finally:
+            tc._openblas_threads.cache_clear()
+        for u, v in zip(got, want):
+            assert np.max(np.abs(u - v)) < 1e-10
+
+    def test_two_python_threads_fit_the_one_thread_bytes(self, threads, tmp_path):
+        x = volume_io.gen_synthetic("blobs_noisy", (48, 64, 80), seed=3)
+        volume = tmp_path / "x.s3dv"
+        volume_io.write_volume(volume, x)
+        child = (
+            "import sys; from volrank import decompose, read_volume, write_model; "
+            "write_model(sys.argv[2], decompose(read_volume(sys.argv[1]), 16))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", child, str(volume), str(tmp_path / "m.s3dm")],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS="1"), check=True, timeout=120,
+        )
+        want = (tmp_path / "m.s3dm").read_bytes()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(lambda: volume_io.model_to_bytes(s3dsvd.decompose(x, 16)))
+                       for _ in range(6)]
+            got = [f.result(timeout=120) for f in futures]
+        assert got == [want] * 6
+        assert threads() == 2
+        assert tc._one_blas_thread._depth == 0
+
+    def test_stress_more_python_threads_than_cores(self, threads):
+        # A lost update of the depth count would restore the count while
+        # a thread is still inside, or never restore it.
+        def enter_and_read():
+            seen = set()
+            for _ in range(2000):
+                with tc._one_blas_thread:
+                    seen.add(threads())
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(enter_and_read) for _ in range(8)]
+                seen = set().union(*(f.result(timeout=60) for f in futures))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {1}
+        assert threads() == 2
+        assert tc._one_blas_thread._depth == 0
 
 
 class TestSvd:
