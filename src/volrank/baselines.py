@@ -6,8 +6,10 @@ Two baselines are provided for comparison against the structured 3D SVD:
   HOSVD from :func:`volrank.s3dsvd.decompose`, refined by sweeps until
   the relative-error improvement falls below tolerance.  A sweep shares
   its partial contractions between modes, so it makes two products with
-  the full volume, not four.  Both models share the s3dsvd expansion and
-  level check.
+  the full volume, not four.  Its relative error comes from the core's
+  energy (:func:`volrank.s3dsvd._relerr`), so it forms no reconstruction
+  unless the error is below 1e-2.  Both models share the s3dsvd
+  expansion and level check.
 * CPD via ALS (alternating least squares) with seeded random
   initialization, per-sweep column normalization into non-negative
   weights, and a ridge scaled to the Gram matrix when the normal
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DegenerateInputError, NumericError
-from .s3dsvd import contract, decompose, expand
+from .s3dsvd import _relerr, contract, decompose, expand
 from .tensor_core import (
     _check_finite,
     _check_level,
@@ -66,7 +68,11 @@ class TuckerModel:
 
     ``fit_history`` holds the relative error after initialization and
     after each completed sweep; HOOI never increases it beyond
-    floating-point noise.
+    floating-point noise.  Each value is ``sqrt(1 - ||core||**2 /
+    ||x||**2)``, in a form that cannot overflow (De Lathauwer, De Moor &
+    Vandewalle, SIMAX 2000), and within about 1e-14 of the reconstruction's
+    :func:`volrank.metrics.rel_err`; values below 1e-2, where that form
+    loses digits, are the norm of the residual itself.
     """
 
     dims: tuple
@@ -139,6 +145,18 @@ def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
     ``decompose(x, k)``'s factors.  Below ``r`` the core is contracted
     afresh from them, never sliced from ``hosvd.core``, so the fit equals
     ``tucker_decompose(x, k)`` bit for bit.
+
+    Every core is the projection of ``x`` onto the sweep's orthonormal
+    factors, so each ``fit_history`` value is
+    :func:`volrank.s3dsvd._relerr`: ``sqrt((1 - rho) * (1 + rho))`` with
+    ``rho = ||core|| / ||x||`` (Kolda & Bader, SIAM Review 2009, section
+    4.2), which forms no n^3 reconstruction.  That form is off by about
+    1e-15 divided by the relative error, so below a relative error of 1e-2
+    the residual ``x - expand(core, factors, k)`` is formed and measured
+    instead, and a near-exact fit keeps every digit of its history.  Above
+    it the error is some 1e8 times smaller than ``tol``, so the stopping
+    rule, and with it every factor and core, is the direct residual's
+    unless a gain lies that close to ``tol``.
     """
     x = as_tensor3(x)
     if k == hosvd.rank:
@@ -147,13 +165,7 @@ def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
         factors = tuple(u[:, :k].copy() for u in hosvd.factors)
         core = contract(x, factors)
     normx = frobenius_norm(x)
-
-    def relerr(core, factors):
-        if normx == 0.0:
-            return 0.0
-        return frobenius_norm(x - expand(core, factors, k)) / normx
-
-    history = [relerr(core, factors)]
+    history = [_relerr(x, normx, core, factors, k)]
     for _ in range(max_iters):
         _, u2, u3 = factors
         u1 = mode_factor(mode_product(mode_product(x, u2.T, 2), u3.T, 3), 1, k)
@@ -162,7 +174,7 @@ def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
         t12 = mode_product(t1, u2.T, 2)
         u3 = mode_factor(t12, 3, k)
         factors, core = (u1, u2, u3), mode_product(t12, u3.T, 3)
-        history.append(relerr(core, factors))
+        history.append(_relerr(x, normx, core, factors, k))
         if history[-2] - history[-1] < tol:
             break
     return TuckerModel(

@@ -21,6 +21,7 @@ errors are monotone non-increasing in ``k``.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .tensor_core import (
     _check_level,
     _rank_one_sum,
     as_tensor3,
+    frobenius_norm,
     mode_factor,
     mode_product,
 )
@@ -119,6 +121,30 @@ def expand(core, factors, k):
     for mode, u in enumerate(factors, start=1):
         xk = mode_product(xk, u[:, :k], mode)
     return xk
+
+
+def _relerr(x, normx, core, factors, k):
+    """``||x - expand(core, factors, k)|| / normx`` for a projection ``core``.
+
+    ``normx`` is ``frobenius_norm(x)``, and ``core[:k, :k, :k]`` must be
+    ``x`` contracted against ``u_m[:, :k]`` for orthonormal ``factors``.
+    Then ``||x - xhat||**2 = ||x||**2 - ||core||**2`` (De Lathauwer, De
+    Moor & Vandewalle, SIMAX 21(4), 2000; Kolda & Bader, SIAM Review
+    51(3), 2009, section 4.2), taken in the scale-free form
+    ``sqrt((1 - rho) * (1 + rho))`` with ``rho = ||core|| / normx``, which
+    squares neither norm and so cannot overflow.  Rounding in ``rho``
+    costs that form about 1e-15 divided by the error, so it is used only
+    for errors of at least 1e-2 (squares of at least 1e-4), where it stays
+    within about 1e-14.  Below that, and where ``rho`` is not finite, the
+    residual is formed and its norm taken directly.
+    """
+    if normx == 0.0:
+        return 0.0
+    rho = frobenius_norm(core[:k, :k, :k]) / normx
+    gap = (1.0 - rho) * (1.0 + rho)
+    if gap >= 1e-4:
+        return math.sqrt(gap)
+    return frobenius_norm(x - expand(core, factors, k)) / normx
 
 
 def reconstruct(model, k):

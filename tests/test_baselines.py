@@ -132,6 +132,78 @@ class TestTuckerDecompose:
         assert baselines.tucker_decompose(np.zeros((4, 5, 6)), 2).fit_history == (0.0, 0.0)
 
 
+def _direct_relerr(x, normx, core, factors, k):
+    """HOOI's error with the residual formed: the reference for ``s3dsvd._relerr``."""
+    return tc.frobenius_norm(x - s3dsvd.expand(core, factors, k)) / normx
+
+
+def _count_expand(monkeypatch):
+    """Count calls to ``s3dsvd.expand``, which only the direct residual makes in a fit."""
+    calls = []
+    expand = s3dsvd.expand
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(s3dsvd, "expand", counted)
+    return calls
+
+
+class TestHooiFitHistory:
+    """``fit_history`` from the energy identity, and the direct residual below 1e-2."""
+
+    def test_identity_agrees_with_the_reconstruction(self, monkeypatch):
+        x = volume_io.gen_synthetic("blobs_noisy", (16, 18, 20), seed=3, noise=0.05)
+        k = 6
+        model = baselines.tucker_decompose(x, k)
+        history = model.fit_history
+        assert len(history) > 3 and min(history) > 0.1
+        for j, err in enumerate(history):
+            fit = baselines.tucker_decompose(x, k, max_iters=j)
+            assert abs(err - metrics.rel_err(x, baselines.tucker_reconstruct(fit))) < 1e-13
+        monkeypatch.setattr(baselines, "_relerr", _direct_relerr)
+        direct = baselines.tucker_decompose(x, k)
+        assert len(direct.fit_history) == len(history)
+        assert np.array_equal(direct.core, model.core)
+        for u, v in zip(direct.factors, model.factors):
+            assert np.array_equal(u, v)
+
+    def test_identity_path_forms_no_reconstruction(self, monkeypatch):
+        calls = _count_expand(monkeypatch)
+        x = np.random.default_rng(3).standard_normal((10, 11, 12))
+        model = baselines.tucker_decompose(x, 4)
+        assert min(model.fit_history) >= 1e-2
+        assert calls == []
+
+    def test_near_exact_fit_takes_the_direct_path(self, monkeypatch):
+        calls = _count_expand(monkeypatch)
+        x, _, _ = exact_multirank((10, 12, 14), rho=3, seed=1)
+        x = x + 1e-6 * np.random.default_rng(2).standard_normal(x.shape)
+        history = baselines.tucker_decompose(x, 3).fit_history
+        assert max(history) < 1e-2
+        assert len(calls) == len(history)
+        normx = tc.frobenius_norm(x)
+        for j, err in enumerate(history):
+            fit = baselines.tucker_decompose(x, 3, max_iters=j)
+            assert err == _direct_relerr(x, normx, fit.core, fit.factors, 3)
+
+    def test_overflowing_energy_stays_on_the_identity(self, monkeypatch):
+        # ||x||**2 overflows, so normx**2 - ||core||**2 would read inf - inf;
+        # the ratio of the two rescaled norms does not.
+        calls = _count_expand(monkeypatch)
+        y = np.random.default_rng(3).standard_normal((10, 11, 12))
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                float(np.sum(np.square(y * 1e300)))
+        huge = baselines.tucker_decompose(y * 1e300, 4).fit_history
+        assert calls == []
+        plain = baselines.tucker_decompose(y, 4).fit_history
+        assert len(huge) == len(plain)
+        assert all(math.isfinite(e) for e in huge)
+        assert max(abs(a - b) for a, b in zip(huge, plain)) < 1e-13
+
+
 def test_no_fit_builds_an_unfolding(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a fit called unfold or fold")
