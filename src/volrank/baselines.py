@@ -10,22 +10,33 @@ Two baselines are provided for comparison against the structured 3D SVD:
   energy (:func:`volrank.s3dsvd._relerr`), so it forms no reconstruction
   unless the error is below 1e-2.  Both models share the s3dsvd
   expansion and level check.
-* CPD via ALS (alternating least squares) with seeded random
-  initialization, per-sweep column normalization into non-negative
-  weights, and a ridge scaled to the Gram matrix when the normal
-  equations are not numerically positive definite.  Each sweep runs on
-  numpy's BLAS and LAPACK alone.  Its MTTKRPs (the volume summed against
-  matching columns of two factors) contract the volume one factor at a
-  time (Phan, Tichavsky & Cichocki, IEEE TSP 2013) in a rank-major layout:
-  two GEMMs on reshape views of the volume per sweep, then one batched
-  matrix-vector product per mode.  Its stopping error comes from the Gram
-  identity, so it builds no unfolding, Khatri-Rao matrix or
-  reconstruction.
+* CPD via ALS (alternating least squares) on a compressed volume
+  (CANDELINC: Carroll, Pruzansky & Kruskal, Psychometrika 45(1), 1980;
+  Bro & Andersson, Chemometr. Intell. Lab. Syst. 42, 1998).  A rank-``k``
+  fit first takes ``h = decompose(x, rc)`` with ``rc = min(2 k,
+  min(x.shape))`` and runs every sweep on the ``rc^3`` core ``G``, so it
+  reads ``x`` a fixed number of times, not twice a sweep.  Its seeded
+  start is drawn in ``x``'s space and projected onto the factors ``u_m``,
+  and the model's factors are the core fit's mapped back through them.
+  Each sweep normalizes the columns into non-negative weights, adds a
+  ridge scaled to the Gram matrix when the normal equations are not
+  numerically positive definite, and runs on numpy's BLAS and LAPACK
+  alone.  Its MTTKRPs (the core summed against matching columns of two
+  factors) contract the core one factor at a time (Phan, Tichavsky &
+  Cichocki, IEEE TSP 2013) in a rank-major layout: two GEMMs on reshape
+  views of the core per sweep, then one batched matrix-vector product per
+  mode.  Its stopping error is the error on ``x``, ``sqrt(tail + ||G -
+  Ghat||^2) / ||x||`` with ``tail = (||x|| - ||G||) (||x|| + ||G||)``,
+  the second term from the Gram identity, so it builds no unfolding,
+  Khatri-Rao matrix or reconstruction.
 
-``cpd_study`` runs the ALS fit once per seed and aggregates each metric
-into a mean and a Student-t 95% confidence half-width, optionally
-fanning the runs out over a thread pool; serial and threaded execution
-produce identical numbers.
+``cpd_study`` compresses once, runs the ALS fit once per seed on that
+core and aggregates each metric into a mean and a Student-t 95%
+confidence half-width, optionally fanning the runs out over a thread
+pool; serial and threaded execution produce identical numbers.  Each
+run's ``time_s`` is the whole compression plus its own ALS, the cost of
+a standalone ``cpd_decompose``, and each run is scored without forming
+its reconstruction.
 """
 
 import contextvars
@@ -39,8 +50,9 @@ from . import metrics
 from .errors import DegenerateInputError, NumericError
 from .s3dsvd import _relerr, contract, decompose, expand
 from .tensor_core import (
-    _check_finite,
+    _check_finite_quiet,
     _check_level,
+    _rank_one_residual,
     _rank_one_sum,
     as_tensor3,
     frobenius_norm,
@@ -88,7 +100,10 @@ class CpModel:
 
     ``seed`` records the initialization so a fit can be reproduced
     bit for bit; ``ridge_applied`` flags that at least one least-squares
-    step needed diagonal regularization.
+    step needed diagonal regularization.  ``fit_history`` holds the
+    relative error on the fitted volume after each sweep, so it has
+    ``iterations_run`` entries; S3DM does not store it, so a model read
+    from a file has ``()``, as a Tucker model read from a file has.
     """
 
     dims: tuple
@@ -99,6 +114,7 @@ class CpModel:
     iterations_run: int
     converged: bool
     ridge_applied: bool
+    fit_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -111,7 +127,8 @@ class CpStudy:
     sample mean and the 95% Student-t confidence half-width (NaN when
     only one seed was run, 0.0 when all runs agree exactly).
     ``unconverged`` holds, in run order, the seeds whose fit stopped at
-    ``max_iters`` without converging.
+    ``max_iters`` without converging, and ``fit_histories`` each run's
+    :attr:`CpModel.fit_history`, in run order.
     """
 
     k: int
@@ -120,6 +137,7 @@ class CpStudy:
     mean: dict
     ci_halfwidth: dict
     unconverged: tuple
+    fit_histories: tuple
 
 
 def tucker_decompose(x, k, max_iters=50, tol=1e-6):
@@ -192,18 +210,24 @@ def tucker_reconstruct(model, k=None):
     return expand(model.core, model.factors, k)
 
 
-def _fit_error(normx, inner, weights, factors):
-    """Relative error ``||x - xhat|| / ||x||`` without forming ``xhat``.
+def _fit_error(normx, normg, inner, weights, grams):
+    """Relative error ``||x - xhat|| / ||x||`` of a Kruskal fit to the core ``g``.
 
-    ``xhat`` is the Kruskal sum of ``weights`` and ``factors`` and
-    ``inner`` is ``<x, xhat>``.  The Gram identity
-    ``||x - xhat||^2 = ||x||^2 - 2 <x, xhat> + w^T (G1 * G2 * G3) w``, with
-    ``Gm`` the factor Gram matrices, can cancel to a tiny negative value
-    for an exact fit, so the square is clamped at 0.
+    ``g`` is ``x`` projected onto orthonormal factors ``u_m`` and has norm
+    ``normg``; ``ghat`` is the Kruskal sum of ``weights`` and factors
+    ``f_m`` with Gram matrices ``grams``, ``inner`` is ``<g, ghat>``, and
+    ``xhat`` is ``ghat`` mapped back through the ``u_m``.  ``x - xhat``
+    splits into ``x``'s part outside the span of the ``u_m``, of squared
+    norm ``tail = (||x|| - ||g||) (||x|| + ||g||)``, and ``g - ghat``
+    inside it, so ``||x - xhat||^2 = tail + ||g - ghat||^2``.  The second
+    term comes from the Gram identity ``||g||^2 - 2 <g, ghat> + w^T (G1 *
+    G2 * G3) w``.  Either term can cancel to a tiny negative value for an
+    exact fit, so each is clamped at 0.
     """
-    g1, g2, g3 = (f.T @ f for f in factors)
-    sq = normx * normx - 2.0 * inner + weights @ (g1 * g2 * g3) @ weights
-    return math.sqrt(max(sq, 0.0)) / (normx if normx else 1.0)
+    g1, g2, g3 = grams
+    tail = (normx - normg) * (normx + normg)
+    sq = normg * normg - 2.0 * inner + weights @ (g1 * g2 * g3) @ weights
+    return math.sqrt(max(tail, 0.0) + max(sq, 0.0)) / (normx if normx else 1.0)
 
 
 def _check_seed(seed):
@@ -220,25 +244,31 @@ def _check_seeds(seeds):
 
 
 def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
-    """Fit a rank-``k`` CPD to ``x`` with seeded ALS.
+    """Fit a rank-``k`` CPD to ``x`` with seeded ALS on an s3dsvd core.
 
-    Factors start as uniform [0, 1) draws from
+    ``x`` is first compressed to ``h = decompose(x, rc)`` with
+    ``rc = min(2 k, min(x.shape))``, and ALS fits the ``rc^3`` core
+    ``h.core`` (CANDELINC: Carroll, Pruzansky & Kruskal, Psychometrika
+    45(1), 1980; Bro & Andersson, Chemometr. Intell. Lab. Syst. 42, 1998).
+    Factors start as uniform [0, 1) draws in ``x``'s space from
     ``numpy.random.default_rng(seed)``, for an integer ``0 <= seed < 2**64``
-    (a model file's u64).  Each sweep solves the three normal-equation
-    least-squares problems, then renormalizes factor columns into
-    non-negative ``weights``.  Iteration stops when the change in relative
-    error between sweeps falls below ``tol`` or after ``max_iters`` sweeps;
-    the error comes from :func:`_fit_error`.  A normal-equation matrix
-    whose Cholesky factorization fails gets a diagonal ridge of ``1e-12``
-    times its mean diagonal (``1e-12`` when that is zero), so success does
-    not depend on the scale of ``x``, and the fit continues with
-    ``ridge_applied`` set.
+    (a model file's u64), projected as ``u_m^T f_m``.  Each sweep solves
+    the three normal-equation least-squares problems, then renormalizes
+    factor columns into non-negative ``weights``.  Iteration stops when
+    the change in relative error between sweeps falls below ``tol`` or
+    after ``max_iters`` sweeps; the error is that of the mapped-back model
+    on ``x``, from :func:`_fit_error`, and ``fit_history`` keeps it per
+    sweep.  A normal-equation matrix that fails its Cholesky test or its
+    LU solve gets a diagonal ridge of ``1e-12`` times its mean diagonal
+    (``1e-12`` when that is zero), so success does not depend on the scale
+    of ``x``, and the fit continues with ``ridge_applied`` set.  The returned
+    factors are ``u_m @ f_m``.
 
-    The sweep holds each factor rank-major, shape ``(k, n_m)``.  It makes
-    two GEMMs on reshape views of ``x``: ``x3 = f3^T x_(3)``, shared by
-    modes 1 and 2, and ``t = f1^T x_(1)`` after mode 1's update.  Each
+    The sweep holds each factor rank-major, shape ``(k, rc)``.  It makes
+    two GEMMs on reshape views of the core: ``g3 = f3^T g_(3)``, shared by
+    modes 1 and 2, and ``t = f1^T g_(1)`` after mode 1's update.  Each
     MTTKRP, in the same layout, is then one batched matrix-vector product
-    of ``x3`` or ``t`` with the rows of another factor (Kolda & Bader, SIAM
+    of ``g3`` or ``t`` with the rows of another factor (Kolda & Bader, SIAM
     Review 2009, section 3), and ``numpy.linalg.solve`` takes it as it is.
 
     Raises
@@ -246,83 +276,100 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     TypeError, ValueError
         Before any fit, for a ``seed`` outside that range.
     NumericError
-        If a Gram matrix, an MTTKRP (``x`` summed against matching columns
-        of the other two factors), an updated factor or the weights are not
-        finite, as when ``x`` makes the normal equations overflow float64,
-        or if LAPACK fails on a normal-equation system even after the ridge.
+        If ``x`` is not finite, if a Gram matrix, an MTTKRP (the core
+        summed against matching columns of the other two factors), an
+        updated factor or the weights are not finite, as when ``x`` makes
+        the normal equations overflow float64, or if LAPACK fails on the
+        compression or on a normal-equation system even after the ridge.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
-    _check_finite(x, "input tensor")
     seed = _check_seed(seed)
-    n1, n2, n3 = x.shape
+    return _cpd_als(*_compress(x, k), k, seed, max_iters, tol)
+
+
+def _compress(x, k):
+    """The s3dsvd model whose core a rank-``k`` ALS fits, and ``||x||``."""
+    return decompose(x, min(2 * k, min(x.shape))), frobenius_norm(x)
+
+
+def _cpd_als(hosvd, normx, k, seed, max_iters, tol):
+    """:func:`cpd_decompose`'s ALS on ``hosvd.core``, for ``x`` of norm ``normx``."""
+    g, us = hosvd.core, hosvd.factors
+    r1, r2, r3 = g.shape
     rng = np.random.default_rng(seed)
-    # Rank-major factors: row r of ft[m] is column r of mode m + 1's factor.
-    ft = [np.ascontiguousarray(rng.random((n, k)).T) for n in x.shape]
-    # Both GEMMs read x in place: x_12_3 is the transposed (n1 n2, n3) view.
-    x_12_3, x_1_23 = x.reshape(n1 * n2, n3).T, x.reshape(n1, n2 * n3)
+    # Rank-major factors: row r of ft[m] is column r of mode m + 1's core factor.
+    ft = [np.ascontiguousarray((u.T @ rng.random((n, k))).T) for u, n in zip(us, hosvd.dims)]
+    # Both GEMMs read g in place: g_12_3 is the transposed (r1 r2, r3) view.
+    g_12_3, g_1_23 = g.reshape(r1 * r2, r3).T, g.reshape(r1, r2 * r3)
     weights = np.ones(k)
-    normx = frobenius_norm(x)
+    normg = frobenius_norm(g)
     ridge_applied = False
-    prev_err = None
-    iterations = 0
     converged = False
-    for sweep in range(max_iters):
-        grams = [None, ft[1] @ ft[1].T, ft[2] @ ft[2].T]
-        # Modes 1 and 2 share x3[r] = x x_3 f3[:, r], as f3 changes only in mode 3.
-        x3 = (ft[2] @ x_12_3).reshape(k, n1, n2)
-        for mode in range(3):
-            lo, hi = [grams[m] for m in range(3) if m != mode]
-            gram = hi * lo
-            # Each MTTKRP is one batched matvec: slice r of x3 or t times row r of a factor.
-            if mode == 0:
-                mttkrp = x3 @ ft[1][:, :, None]
-            elif mode == 1:
-                mttkrp = ft[0][:, None, :] @ x3
-            else:
-                t = (ft[0] @ x_1_23).reshape(k, n2, n3)
-                mttkrp = ft[1][:, None, :] @ t
-            mttkrp = mttkrp.reshape(k, -1)
-            _check_finite(gram, f"ALS mode-{mode + 1} Gram matrix")
-            # Checked as (n_m, k), so a reported flat index is the model's layout.
-            _check_finite(mttkrp.T, f"ALS mode-{mode + 1} MTTKRP")
-            try:
-                # Cholesky is only the positive-definiteness test here.
+    history = []
+    grams = [None, ft[1] @ ft[1].T, ft[2] @ ft[2].T]
+    # Entered once per fit; every step is judged by a finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            # Modes 1 and 2 share g3[r] = g x_3 f3[:, r], as f3 changes only in mode 3.
+            g3 = (ft[2] @ g_12_3).reshape(k, r1, r2)
+            for mode in range(3):
+                lo, hi = [grams[m] for m in range(3) if m != mode]
+                gram = hi * lo
+                # Each MTTKRP is one batched matvec: slice r of g3 or t times row r of a factor.
+                if mode == 0:
+                    mttkrp = g3 @ ft[1][:, :, None]
+                elif mode == 1:
+                    mttkrp = ft[0][:, None, :] @ g3
+                else:
+                    t = (ft[0] @ g_1_23).reshape(k, r2, r3)
+                    mttkrp = ft[1][:, None, :] @ t
+                mttkrp = mttkrp.reshape(k, -1)
+                _check_finite_quiet(gram, f"ALS mode-{mode + 1} Gram matrix")
+                # Checked as (rc, k), so a reported flat index is the model's layout.
+                _check_finite_quiet(mttkrp.T, f"ALS mode-{mode + 1} MTTKRP")
                 try:
-                    np.linalg.cholesky(gram)
-                except np.linalg.LinAlgError:
-                    # Scaled to the mean diagonal, so it does not vanish for a large x.
-                    gram = gram + 1e-12 * (np.trace(gram) / k or 1.0) * np.eye(k)
-                    ridge_applied = True
-                    np.linalg.cholesky(gram)
-                ft[mode] = np.linalg.solve(gram, mttkrp)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"ALS mode-{mode + 1} normal equations: {exc}") from exc
-            _check_finite(ft[mode].T, f"ALS mode-{mode + 1} factor")
-            if mode < 2:
-                grams[mode] = ft[mode] @ ft[mode].T
-        # <x, xhat> from the last mode's MTTKRP, before normalization.
-        inner = float(np.sum(ft[2] * mttkrp))
-        norms = [np.linalg.norm(f, axis=1) for f in ft]
-        weights = norms[0] * norms[1] * norms[2]
-        _check_finite(weights, "ALS weights")
-        for f, n in zip(ft, norms):
-            f /= np.where(n == 0.0, 1.0, n)[:, None]
-        iterations = sweep + 1
-        err = _fit_error(normx, inner, weights, tuple(f.T for f in ft))
-        if prev_err is not None and abs(prev_err - err) < tol:
-            converged = True
-            break
-        prev_err = err
+                    # Cholesky is only the positive-definiteness test here.  A
+                    # matrix that passes it by rounding can still give the LU
+                    # solve an exact zero pivot, so either failure takes the ridge.
+                    try:
+                        np.linalg.cholesky(gram)
+                        ft[mode] = np.linalg.solve(gram, mttkrp)
+                    except np.linalg.LinAlgError:
+                        # Scaled to the mean diagonal, so it does not vanish for a large x.
+                        gram = gram + 1e-12 * (np.trace(gram) / k or 1.0) * np.eye(k)
+                        ridge_applied = True
+                        np.linalg.cholesky(gram)
+                        ft[mode] = np.linalg.solve(gram, mttkrp)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericError(f"ALS mode-{mode + 1} normal equations: {exc}") from exc
+                _check_finite_quiet(ft[mode].T, f"ALS mode-{mode + 1} factor")
+                if mode < 2:
+                    grams[mode] = ft[mode] @ ft[mode].T
+            # <g, ghat> from the last mode's MTTKRP, before normalization.
+            inner = float((ft[2] * mttkrp).sum())
+            # numpy.linalg.norm's own sum for axis=1, without its per-call checks.
+            norms = [np.sqrt(np.add.reduce(f * f, axis=1)) for f in ft]
+            weights = norms[0] * norms[1] * norms[2]
+            _check_finite_quiet(weights, "ALS weights")
+            for f, n in zip(ft, norms):
+                f /= np.where(n == 0.0, 1.0, n)[:, None]
+            # The next sweep starts from these Grams of the normalized factors.
+            grams = [f @ f.T for f in ft]
+            history.append(_fit_error(normx, normg, inner, weights, grams))
+            if len(history) > 1 and abs(history[-2] - history[-1]) < tol:
+                converged = True
+                break
     return CpModel(
-        dims=x.shape,
+        dims=hosvd.dims,
         rank=k,
-        factors=tuple(f.T for f in ft),
+        factors=tuple(u @ f.T for u, f in zip(us, ft)),
         weights=weights,
         seed=seed,
-        iterations_run=iterations,
+        iterations_run=len(history),
         converged=converged,
         ridge_applied=ridge_applied,
+        fit_history=tuple(history),
     )
 
 
@@ -336,16 +383,28 @@ def cpd_reconstruct(model):
     return _rank_one_sum(model.weights, *model.factors)
 
 
-def _study_run(x, k, seed, max_iters, tol):
+def _score_run(x, model, k, time_s):
+    """``metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=time_s)``, bit for bit.
+
+    The residual is summed from slabs of the Kruskal sum
+    (:func:`volrank.tensor_core._rank_one_residual`), so no reconstruction
+    is formed unless the squared residual overflows.
+    """
+    sq, normsq = _rank_one_residual(x, model.weights, *model.factors)
+    if sq == math.inf:
+        return metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=time_s)
+    return metrics._row(x, None, sq, normsq, "cpd", k, time_s=time_s)
+
+
+def _study_run(x, hosvd, normx, compress_s, k, seed, max_iters, tol):
     # Relabel numeric failures only; a bug such as a TypeError propagates.
     try:
         start = time.perf_counter()
-        model = cpd_decompose(x, k, seed, max_iters=max_iters, tol=tol)
-        elapsed = time.perf_counter() - start
-        row = metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=elapsed)
+        model = _cpd_als(hosvd, normx, k, seed, max_iters, tol)
+        row = _score_run(x, model, k, compress_s + (time.perf_counter() - start))
     except (ArithmeticError, DegenerateInputError) as exc:
         raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
-    return (seed, row), model.converged
+    return (seed, row), model
 
 
 def _t975(df):
@@ -403,18 +462,31 @@ def _aggregate(values, quantile):
 def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     """Run one CPD fit per seed and aggregate the metrics.
 
-    Each metric gets its sample mean and 95% Student-t half-width; the
-    quantile ``_t975(len(seeds) - 1)`` is computed once, in the package,
-    and shared by all four.
+    ``x`` is compressed once, as :func:`cpd_decompose` compresses it, and
+    every seed's ALS fits that one core.  Each run's ``time_s`` is the
+    whole compression time plus its own ALS time, which is what a
+    standalone :func:`cpd_decompose` costs, and its row is
+    :func:`_score_run`'s, the score of its reconstruction bit for bit
+    without that volume.  Each metric gets its sample
+    mean and 95% Student-t half-width; the quantile
+    ``_t975(len(seeds) - 1)`` is computed once, in the package, and shared
+    by all four.
 
     ``threads`` > 1 distributes the independent runs over a thread pool;
     results are identical to serial execution apart from wall-clock
     timings.  Every seed is checked as :func:`cpd_decompose` checks it
-    before the first fit; a failing run aborts the study, naming its seed.
+    before the compression; a failing run aborts the study, naming its seed.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
     seeds = _check_seeds(seeds)
+    start = time.perf_counter()
+    hosvd, normx = _compress(x, k)
+    compress_s = time.perf_counter() - start
+
+    def fit(seed):
+        return _study_run(x, hosvd, normx, compress_s, k, seed, max_iters, tol)
+
     if threads is not None and int(threads) > 1:
         from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's start-up path
 
@@ -422,17 +494,10 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
         # error state (np.errstate) holds in the workers as it does serially.
         contexts = [contextvars.copy_context() for _ in seeds]
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = tuple(
-                pool.map(
-                    lambda ctx, s: ctx.run(_study_run, x, k, s, max_iters, tol),
-                    contexts,
-                    seeds,
-                )
-            )
+            results = tuple(pool.map(lambda ctx, s: ctx.run(fit, s), contexts, seeds))
     else:
-        results = tuple(_study_run(x, k, s, max_iters, tol) for s in seeds)
+        results = tuple(map(fit, seeds))
     runs = tuple(run for run, _ in results)
-    unconverged = tuple(run[0] for run, converged in results if not converged)
     quantile = _t975(len(runs) - 1) if len(runs) > 1 else math.nan
     mean = {}
     halfwidth = {}
@@ -444,5 +509,6 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
         runs=runs,
         mean=mean,
         ci_halfwidth=halfwidth,
-        unconverged=unconverged,
+        unconverged=tuple(seed for (seed, _), model in results if not model.converged),
+        fit_histories=tuple(model.fit_history for _, model in results),
     )

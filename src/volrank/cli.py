@@ -140,7 +140,10 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     ``decompose(x, k)``'s, and is charged the whole decompose time plus
     its own HOOI time: what a standalone ``tucker_decompose`` costs.  cpd
     refits per k, each row aggregating one run per seed, with ``threads``
-    capping study parallelism.
+    capping study parallelism; each run is charged its study's whole
+    compression plus its own ALS time, again a standalone fit's cost.
+    The stderr line of a cpd row gives each unconverged seed's sweep count
+    and the relative error of its reconstruction.
     """
 
     def say(message):
@@ -184,10 +187,14 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 study = baselines.cpd_study(x, k, seeds, threads=threads)
                 ci = {_CI_COLUMNS[m]: h for m, h in study.ci_halfwidth.items()}
                 rows.append({"method": "cpd", "k": k, **study.mean, "per": None, **ci})
-                stuck = study.unconverged
+                stuck = [
+                    f"{seed} (sweeps={len(history)}, rel_err={row['rel_err']:.3e})"
+                    for (seed, row), history in zip(study.runs, study.fit_histories)
+                    if seed in study.unconverged
+                ]
                 say(
                     f"sweep method=cpd k={k} done ({len(seeds)} seeds,"
-                    f" {len(stuck)} unconverged: {list(stuck)})"
+                    f" {len(stuck)} unconverged: [{', '.join(stuck)}])"
                 )
     return SweepResult(rows=tuple(rows))
 

@@ -98,7 +98,14 @@ def score(x, xhat, method, k, per=None, time_s=None):
     :func:`mse` and :func:`rel_err` return.
     """
     x, xhat = _check_pair(x, xhat)
-    sq, normsq = _residual(x, xhat, with_norm=True)
+    return _row(x, xhat, *_residual(x, xhat, with_norm=True), method, k, per, time_s)
+
+
+def _row(x, xhat, sq, normsq, method, k, per=None, time_s=None):
+    """:func:`score`'s row from ``sq = ||x - xhat||**2`` and ``normsq = ||x||**2``.
+
+    ``xhat`` is read only where ``sq`` overflowed.
+    """
     return {
         "method": method,
         "k": k,

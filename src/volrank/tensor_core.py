@@ -110,8 +110,15 @@ def _check_finite(a, what):
     is not finite, from a NaN or inf or from finite values that overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # judged just below
-        total = np.sum(a)
-    if np.isfinite(total):
+        _check_finite_quiet(a, what)
+
+
+def _check_finite_quiet(a, what):
+    """:func:`_check_finite` for a caller already in its ``np.errstate``.
+
+    A loop that checks every step enters that state once, not once a check.
+    """
+    if math.isfinite(a.sum()):
         return
     finite = np.isfinite(a)
     if not finite.all():
@@ -149,10 +156,21 @@ def _residual(a, b, with_norm=False):
     one scratch buffer, so no volume-sized array is formed.  ``||a||**2``
     adds the dots :func:`frobenius_norm` adds; an overflowed sum is ``inf``.
     """
-    buf = np.empty(min(a.size, _BLOCK))
+    return _block_residual(_blocks(a, b), min(a.size, _BLOCK), with_norm)
+
+
+def _rank_one_residual(a, weights, u1, u2, u3):
+    """``_residual(a, _rank_one_sum(weights, u1, u2, u3), with_norm=True)`` without the sum's volume."""
+    blocks = zip(_slabs(a.ravel(), _BLOCK), _rank_one_blocks(weights, u1, u2, u3))
+    return _block_residual(blocks, min(a.size, _BLOCK), with_norm=True)
+
+
+def _block_residual(pairs, size, with_norm):
+    """:func:`_residual` over the matching blocks ``pairs``, none longer than ``size``."""
+    buf = np.empty(size)
     sq = normsq = 0.0
     with np.errstate(over="ignore"):  # an overflow is the inf its callers test
-        for u, v in _blocks(a, b):
+        for u, v in pairs:
             d = np.subtract(u, v, out=buf[: u.size])
             sq += float(np.dot(d, d))
             if with_norm:
@@ -200,9 +218,39 @@ def _rank_one_sum(weights, u1, u2, u3):
     unfolding of the sum with the columns in C order.  The result is a
     C-contiguous ``(n1, n2, n3)`` array, so nothing downstream copies it.
     """
-    r = len(weights)
-    kr = (u2.T[:, :, None] * u3.T[:, None, :]).reshape(r, -1)
-    return ((u1 * weights) @ kr).reshape(len(u1), len(u2), len(u3))
+    return ((u1 * weights) @ _khatri_rao_rows(u2, u3)).reshape(len(u1), len(u2), len(u3))
+
+
+def _khatri_rao_rows(u2, u3):
+    """``kr[r, j * n3 + k] = u2[j, r] * u3[k, r]``, the right operand of :func:`_rank_one_sum`."""
+    return (u2.T[:, :, None] * u3.T[:, None, :]).reshape(u2.shape[1], -1)
+
+
+def _rank_one_blocks(weights, u1, u2, u3):
+    """:func:`_rank_one_sum`, raveled and cut as :func:`_blocks` cuts it, without the volume.
+
+    Each slab of whole mode-1 rows is the GEMM with its left operand
+    restricted to those rows, and numpy's OpenBLAS sums each entry of it
+    as it does in the whole product, so the blocks match bit for bit.  A
+    slab holds about 8 blocks, or the whole sum if that is smaller, and
+    never one row alone: a one-row product takes BLAS's matrix-vector
+    path, whose sums differ.
+    """
+    a, kr = u1 * weights, _khatri_rao_rows(u2, u3)
+    n1 = len(a)
+    starts = list(range(0, n1, max(2, -(-8 * _BLOCK // kr.shape[1]))))
+    if len(starts) > 1 and starts[-1] == n1 - 1:
+        starts.pop()
+    rest = np.empty(0)
+    for i0, i1 in zip(starts, starts[1:] + [n1]):
+        flat = (a[i0:i1] @ kr).ravel()
+        if rest.size:
+            flat = np.concatenate([rest, flat])
+        cut = flat.size - flat.size % _BLOCK
+        yield from _slabs(flat[:cut], _BLOCK)
+        rest = flat[cut:]
+    if rest.size:
+        yield rest
 
 
 def unfold(x, mode):

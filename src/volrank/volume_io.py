@@ -66,7 +66,8 @@ _LAYOUTS = {
         2,
         CpModel,
         (("weights", "weights", 1),),
-        {"iterations_run": 0, "converged": False, "ridge_applied": False},
+        {"iterations_run": 0, "converged": False, "ridge_applied": False,
+         "fit_history": ()},
     ),
 }
 _METHOD_NAMES = {code: name for name, (code, *_) in _LAYOUTS.items()}

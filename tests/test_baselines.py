@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -336,20 +338,23 @@ class TestCpdDecompose:
         "dims,data_seed,seed,sweeps", [((6, 7, 8), 27, 5, 1), ((5, 7, 9), 30, 2, 25)]
     )
     def test_contracted_mttkrp_sweep_matches_unfolding_sweep(self, dims, data_seed, seed, sweeps):
-        # Reference ALS: each MTTKRP is the mode's unfolding times the
-        # Khatri-Rao product of the other two factors, lower mode fastest,
-        # and each sweep ends with the fit's normalization.  Unequal sizes
-        # make a transposed factor or MTTKRP fail loudly.
+        # Reference ALS on the compressed core g = decompose(x, rc).core,
+        # from the seed's draws in x's space projected as u_m^T f_m: each
+        # MTTKRP is the mode's unfolding of g times the Khatri-Rao product
+        # of the other two factors, lower mode fastest, each sweep ends with
+        # the fit's normalization, and the factors map back as u_m f_m.
+        # Unequal sizes make a transposed factor or MTTKRP fail loudly.
         x = np.random.default_rng(data_seed).random(dims)
         k = 3
+        hosvd = s3dsvd.decompose(x, min(2 * k, min(dims)))
         rng = np.random.default_rng(seed)
-        factors = [rng.random((n, k)) for n in x.shape]
+        factors = [u.T @ rng.random((n, k)) for u, n in zip(hosvd.factors, x.shape)]
         for _ in range(sweeps):
             for mode in range(3):
                 lo, hi = [factors[m] for m in range(3) if m != mode]
                 khatri_rao = (hi[:, None, :] * lo[None, :, :]).reshape(-1, k)
                 gram = (hi.T @ hi) * (lo.T @ lo)
-                rhs = tc.unfold(x, mode + 1) @ khatri_rao
+                rhs = tc.unfold(hosvd.core, mode + 1) @ khatri_rao
                 factors[mode] = np.linalg.solve(gram, rhs.T).T
             norms = [np.linalg.norm(f, axis=0) for f in factors]
             weights = norms[0] * norms[1] * norms[2]
@@ -358,9 +363,9 @@ class TestCpdDecompose:
         assert model.iterations_run == sweeps
         assert not model.ridge_applied
         assert np.max(np.abs(model.weights - weights)) < 1e-10
-        for got, f in zip(model.factors, factors):
-            assert got.shape == f.shape
-            assert np.max(np.abs(got - f)) < 1e-10
+        for got, u, f in zip(model.factors, hosvd.factors, factors):
+            assert got.shape == (u.shape[0], k)
+            assert np.max(np.abs(got - u @ f)) < 1e-10
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -462,6 +467,98 @@ class TestCpdBlasThreads:
         assert models[0] == models[1]
 
 
+class TestCpdOnTheCore:
+    """ALS fits the core of ``decompose(x, min(2k, min(x.shape)))`` and scores against ``x``."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_final_history_value_is_the_error_on_the_volume(self, seed):
+        # Rank 6 leaves part of the noisy volume outside the factors' span,
+        # so the history's tail term is what makes it the error on x.
+        x = volume_io.gen_synthetic("blobs_noisy", (16, 17, 18), seed=3)
+        model = baselines.cpd_decompose(x, 3, seed)
+        tail = 1.0 - (tc.frobenius_norm(s3dsvd.decompose(x, 6).core) / tc.frobenius_norm(x)) ** 2
+        assert tail > 1e-3
+        assert len(model.fit_history) == model.iterations_run
+        want = metrics.rel_err(x, baselines.cpd_reconstruct(model))
+        assert abs(model.fit_history[-1] - want) < 1e-10
+
+    def test_full_rank_core_matches_uncompressed_als(self):
+        # With 2k >= n the core is x rotated by square orthogonal factors,
+        # and ALS commutes with that rotation, so the fit is the one of an
+        # uncompressed rank-major ALS from the seed's own draws.
+        x = np.random.default_rng(31).random((6, 6, 6))
+        k, seed, sweeps = 3, 4, 25
+        rng = np.random.default_rng(seed)
+        ft = [rng.random((n, k)).T for n in x.shape]
+        for _ in range(sweeps):
+            for mode in range(3):
+                lo, hi = [ft[m] @ ft[m].T for m in range(3) if m != mode]
+                others = "".join(c for c, m in zip("abc", range(3)) if m != mode)
+                rhs = np.einsum(f"abc,r{others[0]},r{others[1]}->r{'abc'[mode]}",
+                                x, *(ft[m] for m in range(3) if m != mode))
+                ft[mode] = np.linalg.solve(hi * lo, rhs)
+            norms = [np.linalg.norm(f, axis=1) for f in ft]
+            weights = norms[0] * norms[1] * norms[2]
+            ft = [f / n[:, None] for f, n in zip(ft, norms)]
+        model = baselines.cpd_decompose(x, k, seed, max_iters=sweeps, tol=0.0)
+        assert model.iterations_run == sweeps
+        assert np.max(np.abs(model.weights - weights)) < 1e-10
+        for got, f in zip(model.factors, ft):
+            assert np.max(np.abs(got - f.T)) < 1e-10
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_study_compresses_once_and_charges_every_run(self, monkeypatch, threads):
+        x = np.random.default_rng(32).random((8, 9, 10))
+        decompose, ranks = s3dsvd.decompose, []
+
+        def slow(x, r):
+            ranks.append(r)
+            time.sleep(0.2)
+            return decompose(x, r)
+
+        monkeypatch.setattr(baselines, "decompose", slow)
+        study = baselines.cpd_study(x, 3, seeds=[0, 1, 2], max_iters=5, threads=threads)
+        assert ranks == [6]
+        assert all(row["time_s"] >= 0.2 for _, row in study.runs)
+        assert [len(h) for h in study.fit_histories] == [5, 5, 5]
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("dims", [(8, 9, 10), (33, 64, 64)], ids=["one-slab", "slabs"])
+    def test_study_rows_are_score_rows_of_no_reconstruction(self, monkeypatch, dims, threads):
+        # 33 rows of 64 x 64 make slabs of 16 and 17 rows, the last row
+        # joined to its neighbour; either way each row is the score of the
+        # seed's standalone model, bit for bit, and no volume is formed.
+        x = volume_io.gen_synthetic("blobs_noisy", dims, seed=35)
+        want = [
+            metrics.score(x, baselines.cpd_reconstruct(baselines.cpd_decompose(x, 2, s, max_iters=4)),
+                          "cpd", 2)
+            for s in (0, 1)
+        ]
+
+        def forbidden(model):
+            raise AssertionError("the study formed a reconstruction")
+
+        monkeypatch.setattr(baselines, "cpd_reconstruct", forbidden)
+        study = baselines.cpd_study(x, 2, seeds=[0, 1], max_iters=4, threads=threads)
+        for (_, row), expected in zip(study.runs, want):
+            assert {**row, "time_s": None} == expected
+
+    def test_overflowing_residual_is_scored_from_the_reconstruction(self):
+        # Only an overflowed squared residual needs the volume itself.
+        x = np.random.default_rng(36).random((5, 6, 7))
+        model = baselines.cpd_decompose(x, 2, 0, max_iters=3)
+        huge = dataclasses.replace(model, weights=model.weights * 1e155)
+        row = baselines._score_run(x, huge, 2, 0.5)
+        assert math.isinf(tc._residual(x, baselines.cpd_reconstruct(huge))[0])
+        assert row == metrics.score(x, baselines.cpd_reconstruct(huge), "cpd", 2, time_s=0.5)
+        assert math.isfinite(row["psnr_db"]) and row["rel_err"] > 1e150
+
+    def test_model_read_from_a_file_has_no_history(self):
+        model = baselines.cpd_decompose(np.random.default_rng(33).random((5, 6, 7)), 2, 0)
+        assert len(model.fit_history) == model.iterations_run > 0
+        assert volume_io.model_from_bytes(volume_io.model_to_bytes(model)).fit_history == ()
+
+
 class TestFitError:
     def _direct(self, x, weights, factors):
         xhat = tc._rank_one_sum(weights, *factors)
@@ -469,45 +566,60 @@ class TestFitError:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_direct_residual(self, seed):
+        # Kruskal models of the core g of x at rank 4, mapped back through
+        # g's orthonormal factors: the tail of x outside their span plus
+        # the Gram identity inside it give the error on x.
         rng = np.random.default_rng(seed)
         x = rng.random((6, 7, 8))
-        random_model = (rng.random(3), [rng.standard_normal((n, 3)) for n in x.shape])
-        fitted = baselines.cpd_decompose(x, 3, seed=seed, max_iters=20)
-        for weights, factors in (random_model, (fitted.weights, fitted.factors)):
-            want, xhat = self._direct(x, weights, factors)
+        hosvd = s3dsvd.decompose(x, 4)
+        random_model = (rng.random(3), [rng.standard_normal((4, 3)) for _ in range(3)])
+        fitted = baselines.cpd_decompose(x, 2, seed=seed, max_iters=20)
+        fitted_core = (fitted.weights, [u.T @ f for u, f in zip(hosvd.factors, fitted.factors)])
+        for weights, factors in (random_model, fitted_core):
+            ghat = tc._rank_one_sum(weights, *factors)
+            want, _ = self._direct(x, weights, [u @ f for u, f in zip(hosvd.factors, factors)])
             got = baselines._fit_error(
-                tc.frobenius_norm(x), tc.inner_product(x, xhat), weights, factors
+                tc.frobenius_norm(x), tc.frobenius_norm(hosvd.core),
+                tc.inner_product(hosvd.core, ghat), weights, [f.T @ f for f in factors],
             )
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_sweep_passes_the_fit_inner_product(self, monkeypatch):
-        # The sweep takes <x, xhat> from its last MTTKRP; pin it, and the
-        # stopping error it gives, to the directly computed values.
+        # The sweep takes <g, ghat> from its last MTTKRP, which equals
+        # <x, xhat> for the mapped-back model; pin it, and the stopping
+        # error it gives, to the directly computed values after each sweep.
         x = np.random.default_rng(26).random((6, 7, 8))
         fit_error, seen = baselines._fit_error, []
 
-        def checked(normx, inner, weights, factors):
-            err = fit_error(normx, inner, weights, factors)
-            want, xhat = self._direct(x, weights, factors)
-            seen.append((inner, tc.inner_product(x, xhat), err, want))
+        def recorded(normx, normg, inner, weights, grams):
+            err = fit_error(normx, normg, inner, weights, grams)
+            seen.append((inner, err))
             return err
 
-        monkeypatch.setattr(baselines, "_fit_error", checked)
+        monkeypatch.setattr(baselines, "_fit_error", recorded)
         baselines.cpd_decompose(x, 3, seed=0, max_iters=10, tol=0.0)
+        monkeypatch.setattr(baselines, "_fit_error", fit_error)
         assert len(seen) == 10
-        for inner, want_inner, err, want in seen:
-            assert inner == pytest.approx(want_inner, rel=1e-10)
+        for sweeps, (inner, err) in enumerate(seen, start=1):
+            model = baselines.cpd_decompose(x, 3, seed=0, max_iters=sweeps, tol=0.0)
+            want, xhat = self._direct(x, model.weights, model.factors)
+            assert inner == pytest.approx(tc.inner_product(x, xhat), rel=1e-10)
             assert err == pytest.approx(want, rel=1e-10)
+            assert model.fit_history[-1] == err
 
     def test_exact_fit_is_zero_not_nan(self):
         rng = np.random.default_rng(25)
         factors = [rng.standard_normal((n, 3)) for n in (4, 5, 6)]
+        grams = [f.T @ f for f in factors]
         weights = rng.random(3) + 0.5
         x = tc._rank_one_sum(weights, *factors)
         normx, inner = tc.frobenius_norm(x), tc.inner_product(x, x)
-        assert baselines._fit_error(normx, inner, weights, factors) < 1e-7
-        # An inner product a rounding error too large cancels below zero.
-        assert baselines._fit_error(normx, inner * (1 + 1e-12), weights, factors) == 0.0
+        assert baselines._fit_error(normx, normx, inner, weights, grams) < 1e-7
+        # An inner product a rounding error too large cancels below zero, and
+        # so does the tail of a core norm one ulp above the volume's.
+        assert baselines._fit_error(normx, normx, inner * (1 + 1e-12), weights, grams) == 0.0
+        normg = np.nextafter(normx, np.inf)
+        assert baselines._fit_error(normx, normg, inner * (1 + 1e-12), weights, grams) == 0.0
 
 
 class TestCpdReconstruct:
@@ -613,7 +725,7 @@ class TestCpdStudy:
         def broken(*args, **kwargs):
             raise TypeError("broken fit")
 
-        monkeypatch.setattr(baselines, "cpd_decompose", broken)
+        monkeypatch.setattr(baselines, "_cpd_als", broken)
         x, _ = rank_one_target(seed=22)
         with pytest.raises(TypeError, match="broken fit"):
             baselines.cpd_study(x, 1, seeds=[3, 4], threads=threads)
@@ -637,11 +749,14 @@ class TestCpdStudy:
         # metric: hw = t(0.975, n-1) * sd / sqrt(n), with t(0.975, 9) =
         # 2.262157162798205 to 16 digits. The tolerance is the quantile's
         # own accuracy, which rules out a normal quantile (1.96) or the
-        # wrong degrees of freedom by many orders.
-        x, _ = rank_one_target(seed=21)
-        study = baselines.cpd_study(x, 1, seeds=range(10))
+        # wrong degrees of freedom by many orders.  Every seed fits an
+        # exact rank-one target to the same bits, so the sample is a
+        # rank-two fit of a random volume, whose seeds spread.
+        x = np.random.default_rng(21).random((8, 9, 10))
+        study = baselines.cpd_study(x, 2, seeds=range(10))
         values = np.array([run[1]["rel_err"] for run in study.runs])
         sd = float(np.std(values, ddof=1))
+        assert sd > 1e-6
         expected = 2.262157162798205 * sd / math.sqrt(10)
         assert study.ci_halfwidth["rel_err"] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 

@@ -437,12 +437,15 @@ class TestSweep:
         rows = cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 3, 4]).rows
         assert len(rows) == len(made) == 6
 
+    # s3dsvd and tucker share one decompose(x, max(ks)); each cpd study
+    # compresses once, at min(2k, min(x.shape)), for all its seeds.
     @pytest.mark.parametrize(
-        "methods, calls",
-        [(["s3dsvd", "tucker"], 1), (["tucker"], 1), (["tucker", "cpd", "s3dsvd"], 1),
-         (["cpd"], 0)],
+        "methods, want",
+        [(["s3dsvd", "tucker"], [4]), (["tucker"], [4]), (["tucker", "cpd", "s3dsvd"], [4, 4, 8]),
+         (["cpd"], [4, 8])],
     )
-    def test_one_decompose_per_sweep(self, blob_volume, monkeypatch, methods, calls):
+    def test_one_shared_decompose_and_one_per_cpd_study(self, blob_volume, monkeypatch,
+                                                        methods, want):
         x = volume_io.read_volume(blob_volume)
         ranks = []
         decompose = s3dsvd.decompose
@@ -453,9 +456,9 @@ class TestSweep:
 
         monkeypatch.setattr(s3dsvd, "decompose", counted)
         monkeypatch.setattr(baselines, "decompose", counted)
-        rows = cli.run_sweep(x, methods, [2, 4], seeds=(0,)).rows
+        rows = cli.run_sweep(x, methods, [2, 4], seeds=(0, 1)).rows
         assert len(rows) == 2 * len(methods)
-        assert ranks == [4] * calls
+        assert ranks == want
 
     def test_tucker_rows_carry_the_whole_decompose(self, blob_volume, monkeypatch):
         # A slow decompose makes its share of each row plain to see.
@@ -515,6 +518,7 @@ class TestSweep:
             raise AssertionError("a model was fitted")
 
         monkeypatch.setattr(s3dsvd, "decompose", no_fit)
+        monkeypatch.setattr(baselines, "decompose", no_fit)
         monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--input", blob_volume, "--method", methods,
@@ -590,23 +594,29 @@ class TestSweep:
 
     def test_unconverged_cpd_seeds_reported_on_stderr(self, blob_volume, tmp_path,
                                                        monkeypatch, capsys):
-        # Seed 1's fit is cut to one sweep, which can never converge.
-        fit = baselines.cpd_decompose
+        # Seed 1's fit is cut to one sweep, which can never converge.  Its
+        # line gives that sweep count and the reconstruction's rel_err.
+        fit = baselines._cpd_als
 
-        def cut_short(x, k, seed, **kwargs):
-            if seed == 1:
-                kwargs["max_iters"] = 1
-            return fit(x, k, seed, **kwargs)
+        def cut_short(hosvd, normx, k, seed, max_iters, tol):
+            return fit(hosvd, normx, k, seed, 1 if seed == 1 else max_iters, tol)
 
-        monkeypatch.setattr(baselines, "cpd_decompose", cut_short)
+        monkeypatch.setattr(baselines, "_cpd_als", cut_short)
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--input", blob_volume, "--method", "cpd",
                        "--ks", "1,2", "--seeds", "0,1", "--csv", out,
                        "--no-timing") == 0
+        x = volume_io.read_volume(blob_volume)
+        cut = [
+            metrics.rel_err(x, baselines.cpd_reconstruct(
+                baselines.cpd_decompose(x, k, 1, max_iters=1)))
+            for k in (1, 2)
+        ]
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            "sweep method=cpd k=1 done (2 seeds, 1 unconverged: [1])",
-            "sweep method=cpd k=2 done (2 seeds, 1 unconverged: [1])",
+            f"sweep method=cpd k={k} done (2 seeds, 1 unconverged:"
+            f" [1 (sweeps=1, rel_err={rel:.3e})])"
+            for k, rel in zip((1, 2), cut)
         ]
         assert out.read_text().splitlines()[0] == (
             "method,k,psnr_db,mse,rel_err,per,psnr_ci,mse_ci,relerr_ci"

@@ -549,6 +549,39 @@ class TestSharedChecks:
             tc._check_finite(a, "grid")
         assert str(exc.value) == f"grid contains a non-finite value at flat index {index}"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+    @pytest.mark.parametrize("index", [0, 59])
+    def test_quiet_check_is_check_finite_inside_its_errstate(self, value, index):
+        a = np.ones((3, 4, 5))
+        a.flat[index] = value
+        a.flat[30] = 1e308
+        outcomes = []
+        for check in (tc._check_finite, tc._check_finite_quiet):
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                try:
+                    check(a, "grid")
+                    outcomes.append(None)
+                except errors.NumericError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (value == 1e308)
+
+    @pytest.mark.parametrize(
+        "dims,k",
+        [((33, 64, 64), 5), ((9, 100, 200), 3), ((3, 100, 200), 2), ((2, 3, 4), 2),
+         ((1, 20, 30), 1), ((40, 48, 56), 16)],
+    )
+    def test_rank_one_blocks_are_the_sum_block_for_block(self, dims, k):
+        rng = np.random.default_rng(37)
+        factors = [rng.standard_normal((n, k)) for n in dims]
+        weights = rng.random(k) + 0.5
+        whole = tc._rank_one_sum(weights, *factors)
+        blocks = list(tc._rank_one_blocks(weights, *factors))
+        want = list(tc._slabs(whole.ravel(), tc._BLOCK))
+        assert [b.size for b in blocks] == [b.size for b in want]
+        assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+
     def test_check_finite_builds_no_array_sized_temporary(self):
         a = np.ones(2_000_000)
         tracemalloc.start()
