@@ -6,10 +6,11 @@ Two baselines are provided for comparison against the structured 3D SVD:
   HOSVD from :func:`volrank.s3dsvd.decompose`, refined by sweeps until
   the relative-error improvement falls below tolerance.  A sweep shares
   its partial contractions between modes, so it makes two products with
-  the full volume, not four.  Its relative error comes from the core's
-  energy (:func:`volrank.s3dsvd._relerr`), so it forms no reconstruction
-  unless the error is below 1e-2.  Both models share the s3dsvd
-  expansion and level check.
+  the full volume, not four, and frees them once its core is formed.
+  Its relative error comes from the core's energy
+  (:func:`volrank.s3dsvd._relerr`), so it forms no reconstruction unless
+  the error is below 1e-2.  Both models share the s3dsvd expansion, its
+  slab-by-slab scorer (:func:`volrank.s3dsvd._score`) and level check.
 * CPD via ALS (alternating least squares) on a compressed volume
   (CANDELINC: Carroll, Pruzansky & Kruskal, Psychometrika 45(1), 1980;
   Bro & Andersson, Chemometr. Intell. Lab. Syst. 42, 1998).  A rank-``k``
@@ -52,7 +53,7 @@ from .s3dsvd import _relerr, contract, decompose, expand
 from .tensor_core import (
     _check_finite_quiet,
     _check_level,
-    _rank_one_residual,
+    _rank_one_operands,
     _rank_one_sum,
     as_tensor3,
     frobenius_norm,
@@ -192,6 +193,7 @@ def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
         t12 = mode_product(t1, u2.T, 2)
         u3 = mode_factor(t12, 3, k)
         factors, core = (u1, u2, u3), mode_product(t12, u3.T, 3)
+        del t1, t12  # not alive while the next sweep makes x x_2 u2^T
         history.append(_relerr(x, normx, core, factors, k))
         if history[-2] - history[-1] < tol:
             break
@@ -386,14 +388,12 @@ def cpd_reconstruct(model):
 def _score_run(x, model, k, time_s):
     """``metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=time_s)``, bit for bit.
 
-    The residual is summed from slabs of the Kruskal sum
-    (:func:`volrank.tensor_core._rank_one_residual`), so no reconstruction
-    is formed unless the squared residual overflows.
+    The residual is summed from slabs of the Kruskal sum's GEMM
+    (:func:`volrank.metrics._product_score`), so no reconstruction is
+    formed unless the squared residual overflows.
     """
-    sq, normsq = _rank_one_residual(x, model.weights, *model.factors)
-    if sq == math.inf:
-        return metrics.score(x, cpd_reconstruct(model), "cpd", k, time_s=time_s)
-    return metrics._row(x, None, sq, normsq, "cpd", k, time_s=time_s)
+    operands = _rank_one_operands(model.weights, *model.factors)
+    return metrics._product_score(x, *operands, "cpd", k, time_s=time_s)
 
 
 def _study_run(x, hosvd, normx, compress_s, k, seed, max_iters, tol):

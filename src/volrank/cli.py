@@ -159,13 +159,14 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         hosvd_s = time.perf_counter() - start
     elif "cpd" in methods:
         _check_level(max(ks), min(np.shape(x)), "rank")
-    # Each reconstruction is scored where it is made, so none outlives its row.
+    # s3dsvd and tucker rows are scored from slabs of their expansion, so
+    # no row forms a reconstruction unless its squared residual overflows.
     for method in methods:
         if method == "s3dsvd":
             share = hosvd_s / len(ks)
             for k in ks:
                 per = metrics.per(hosvd, k)
-                rows.append(metrics.score(x, s3dsvd.reconstruct(hosvd, k), "s3dsvd", k, per, share))
+                rows.append(s3dsvd._score(x, hosvd.core, hosvd.factors, k, "s3dsvd", per, share))
                 say(f"sweep method=s3dsvd k={k} done")
             say(
                 f"per threshold {_fmt(PER_THRESHOLD)} first reached at"
@@ -177,9 +178,7 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
                 model = baselines._hooi(x, hosvd, k)
                 elapsed = hosvd_s + (time.perf_counter() - start)
                 rows.append(
-                    metrics.score(
-                        x, baselines.tucker_reconstruct(model), "tucker", k, time_s=elapsed
-                    )
+                    s3dsvd._score(x, model.core, model.factors, k, "tucker", time_s=elapsed)
                 )
                 say(f"sweep method=tucker k={k} done")
         else:

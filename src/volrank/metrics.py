@@ -5,6 +5,8 @@ MSE, PSNR and relative error take the squared residual, and relative
 error ``||x||**2`` too, from one blocked pass over both volumes
 (:func:`volrank.tensor_core._residual`), which forms no volume-sized
 temporary and, like every volume sum, does not depend on BLAS's thread count.
+A reconstruction that is one matrix product ``a @ b`` is scored from slabs
+of rows of ``a`` without forming it (:func:`_product_score`).
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError
-from .tensor_core import _check_level, _check_pair, _residual, frobenius_norm
+from .tensor_core import _check_level, _check_pair, _product_residual, _residual, frobenius_norm
 
 __all__ = [
     "mse",
@@ -99,6 +101,18 @@ def score(x, xhat, method, k, per=None, time_s=None):
     """
     x, xhat = _check_pair(x, xhat)
     return _row(x, xhat, *_residual(x, xhat, with_norm=True), method, k, per, time_s)
+
+
+def _product_score(x, a, b, method, k, per=None, time_s=None):
+    """``score(x, (a @ b).reshape(x.shape), method, k, per, time_s)``, bit for bit.
+
+    The residual is summed from slabs of rows of ``a``
+    (:func:`volrank.tensor_core._product_residual`), so the product is
+    formed only if the squared residual overflows.
+    """
+    sq, normsq = _product_residual(x, a, b)
+    xhat = (a @ b).reshape(x.shape) if sq == math.inf else None
+    return _row(x, xhat, sq, normsq, method, k, per, time_s)
 
 
 def _row(x, xhat, sq, normsq, method, k, per=None, time_s=None):

@@ -116,11 +116,36 @@ def contract(x, factors):
 
 
 def expand(core, factors, k):
-    """Expand the leading ``k x k x k`` block of ``core`` through ``u_m[:, :k]``."""
-    xk = np.ascontiguousarray(core[:k, :k, :k])
-    for mode, u in enumerate(factors, start=1):
-        xk = mode_product(xk, u[:, :k], mode)
-    return xk
+    """Expand the leading ``k x k x k`` block of ``core`` through ``u_m[:, :k]``.
+
+    The last mode product is one GEMM of :func:`_expansion_operands`, whose
+    output is already in C order.
+    """
+    a, b = _expansion_operands(core, factors, k)
+    return (a @ b).reshape(*(len(u) for u in factors))
+
+
+def _expansion_operands(core, factors, k):
+    """``(a, b)`` whose product is :func:`expand` as an ``(n1 n2) x n3`` matrix.
+
+    ``a`` is ``core[:k, :k, :k]`` times ``u1[:, :k]`` and ``u2[:, :k]``,
+    viewed as ``(n1 n2) x k``, and ``b`` is ``u3[:, :k]^T`` (Kolda & Bader,
+    SIAM Review 51(3), 2009, section 2.5).
+    """
+    u1, u2, u3 = (u[:, :k] for u in factors)
+    xk = mode_product(np.ascontiguousarray(core[:k, :k, :k]), u1, 1)
+    return mode_product(xk, u2, 2).reshape(-1, k), u3.T
+
+
+def _score(x, core, factors, k, method, per=None, time_s=None):
+    """``metrics.score(x, expand(core, factors, k), method, k, per, time_s)``, bit for bit.
+
+    The residual is summed from slabs of the expansion's last mode product
+    (:func:`volrank.metrics._product_score`), so the volume is formed only
+    if the squared residual overflows.
+    """
+    operands = _expansion_operands(core, factors, k)
+    return metrics._product_score(x, *operands, method, k, per, time_s)
 
 
 def _relerr(x, normx, core, factors, k):

@@ -37,7 +37,10 @@ Conventions used throughout the package:
   copy, as one matrix product per mode.
 * The Kruskal sum of weighted rank-one terms, which serves CPD models,
   the s3dsvd diagonal expansion and the synthetic volumes, is one GEMM
-  whose output is already in C order.
+  whose output is already in C order.  The residual of a volume against
+  such a product ``a @ b``, this GEMM or the last mode product of an
+  orthogonal expansion, is summed from slabs of rows of ``a``
+  (:func:`_product_residual`), so the product's volume is never formed.
 * Every sum over a volume, in :func:`inner_product`, :func:`frobenius_norm`
   and the metrics, adds one ``np.dot`` per ``_BLOCK``-entry block in index
   order.  No dot is long enough for BLAS to thread, so no sum's bits
@@ -159,10 +162,10 @@ def _residual(a, b, with_norm=False):
     return _block_residual(_blocks(a, b), min(a.size, _BLOCK), with_norm)
 
 
-def _rank_one_residual(a, weights, u1, u2, u3):
-    """``_residual(a, _rank_one_sum(weights, u1, u2, u3), with_norm=True)`` without the sum's volume."""
-    blocks = zip(_slabs(a.ravel(), _BLOCK), _rank_one_blocks(weights, u1, u2, u3))
-    return _block_residual(blocks, min(a.size, _BLOCK), with_norm=True)
+def _product_residual(x, a, b):
+    """``_residual(x, a @ b, with_norm=True)`` without forming ``a @ b`` (``x.size`` entries)."""
+    blocks = zip(_slabs(x.ravel(), _BLOCK), _product_blocks(a, b))
+    return _block_residual(blocks, min(x.size, _BLOCK), with_norm=True)
 
 
 def _block_residual(pairs, size, with_norm):
@@ -212,38 +215,45 @@ def outer3(u, v, w):
 def _rank_one_sum(weights, u1, u2, u3):
     """Kruskal sum ``sum_r weights[r] * outer3(u1[:, r], u2[:, r], u3[:, r])``.
 
-    One GEMM (Kolda & Bader, SIAM Review 51(3), 2009, section 3.1): the
-    weighted ``u1`` times the ``r x (n2 n3)`` Khatri-Rao rows
-    ``kr[r, j * n3 + k] = u2[j, r] * u3[k, r]``, which is the mode-1
-    unfolding of the sum with the columns in C order.  The result is a
-    C-contiguous ``(n1, n2, n3)`` array, so nothing downstream copies it.
+    One GEMM (Kolda & Bader, SIAM Review 51(3), 2009, section 3.1) of
+    :func:`_rank_one_operands`: the weighted ``u1`` times the
+    ``r x (n2 n3)`` Khatri-Rao rows ``kr[r, j * n3 + k] = u2[j, r] *
+    u3[k, r]``, which is the mode-1 unfolding of the sum with the columns
+    in C order.  The result is a C-contiguous ``(n1, n2, n3)`` array, so
+    nothing downstream copies it.
     """
-    return ((u1 * weights) @ _khatri_rao_rows(u2, u3)).reshape(len(u1), len(u2), len(u3))
+    a, kr = _rank_one_operands(weights, u1, u2, u3)
+    return (a @ kr).reshape(len(u1), len(u2), len(u3))
 
 
-def _khatri_rao_rows(u2, u3):
-    """``kr[r, j * n3 + k] = u2[j, r] * u3[k, r]``, the right operand of :func:`_rank_one_sum`."""
-    return (u2.T[:, :, None] * u3.T[:, None, :]).reshape(u2.shape[1], -1)
+def _rank_one_operands(weights, u1, u2, u3):
+    """``(u1 * weights, kr)``, whose product is the ``n1 x (n2 n3)`` :func:`_rank_one_sum`."""
+    kr = (u2.T[:, :, None] * u3.T[:, None, :]).reshape(u2.shape[1], -1)
+    return u1 * weights, kr
 
 
 def _rank_one_blocks(weights, u1, u2, u3):
-    """:func:`_rank_one_sum`, raveled and cut as :func:`_blocks` cuts it, without the volume.
+    """:func:`_rank_one_sum`, raveled and cut as :func:`_blocks` cuts it, without the volume."""
+    return _product_blocks(*_rank_one_operands(weights, u1, u2, u3))
 
-    Each slab of whole mode-1 rows is the GEMM with its left operand
-    restricted to those rows, and numpy's OpenBLAS sums each entry of it
-    as it does in the whole product, so the blocks match bit for bit.  A
-    slab holds about 8 blocks, or the whole sum if that is smaller, and
-    never one row alone: a one-row product takes BLAS's matrix-vector
-    path, whose sums differ.
+
+def _product_blocks(a, b):
+    """``(a @ b).ravel()`` cut as :func:`_blocks` cuts it, without the product.
+
+    Each slab of whole rows of ``a`` is the GEMM with ``a`` restricted to
+    those rows, and numpy's OpenBLAS sums each entry of it as it does in
+    the whole product, so the blocks match bit for bit.  A slab holds
+    about 8 blocks, or the whole product if that is smaller, and never
+    one row alone: a one-row product takes BLAS's matrix-vector path,
+    whose sums differ.
     """
-    a, kr = u1 * weights, _khatri_rao_rows(u2, u3)
-    n1 = len(a)
-    starts = list(range(0, n1, max(2, -(-8 * _BLOCK // kr.shape[1]))))
-    if len(starts) > 1 and starts[-1] == n1 - 1:
+    n = len(a)
+    starts = list(range(0, n, max(2, -(-8 * _BLOCK // b.shape[1]))))
+    if len(starts) > 1 and starts[-1] == n - 1:
         starts.pop()
     rest = np.empty(0)
-    for i0, i1 in zip(starts, starts[1:] + [n1]):
-        flat = (a[i0:i1] @ kr).ravel()
+    for i0, i1 in zip(starts, starts[1:] + [n]):
+        flat = (a[i0:i1] @ b).ravel()
         if rest.size:
             flat = np.concatenate([rest, flat])
         cut = flat.size - flat.size % _BLOCK

@@ -12,7 +12,7 @@ from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc, volum
 
 from oracles import cpd_expand_loop, tucker_expand_loop
 from test_cli import LAPACK_FAILURES, _subprocess_env, fail_lapack
-from test_s3dsvd import exact_multirank
+from test_s3dsvd import STREAMED_CASES, exact_multirank, streamed_levels
 
 
 def unit_vectors(dims, seed):
@@ -218,6 +218,26 @@ def test_no_fit_builds_an_unfolding(monkeypatch):
     s3dsvd.decompose(x, 3)
     baselines.tucker_decompose(x, 3)
     baselines.cpd_decompose(x, 3, seed=0, max_iters=5)
+
+
+class TestTuckerStreamedScore:
+    @pytest.mark.parametrize("dims,r", STREAMED_CASES)
+    def test_score_is_the_score_of_the_reconstruction(self, dims, r):
+        x = np.random.default_rng(43).standard_normal(dims)
+        model = baselines.tucker_decompose(x, r, max_iters=3)
+        for k in streamed_levels(r):
+            got = s3dsvd._score(x, model.core, model.factors, k, "tucker", time_s=0.5)
+            want = metrics.score(x, baselines.tucker_reconstruct(model, k), "tucker", k, time_s=0.5)
+            assert got.keys() == want.keys()
+            assert all(got[key] == want[key] for key in want)
+
+    def test_overflowing_residual_is_scored_from_the_reconstruction(self):
+        x = np.random.default_rng(44).random((5, 6, 7)) * 1e160
+        model = baselines.tucker_decompose(x, 2, max_iters=2)
+        xhat = baselines.tucker_reconstruct(model)
+        assert math.isinf(tc._residual(x, xhat)[0])
+        row = s3dsvd._score(x, model.core, model.factors, 2, "tucker")
+        assert row == metrics.score(x, xhat, "tucker", 2)
 
 
 class TestTuckerReconstruct:

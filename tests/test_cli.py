@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 import time
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,27 +415,35 @@ class TestSweep:
             assert np.array_equal(model.core, alone.core)
             assert model.fit_history == alone.fit_history
 
-    def test_one_reconstruction_alive_at_a_time(self, blob_volume, monkeypatch):
-        # Every earlier row's reconstruction is freed before the next fit or
-        # reconstruction, so a sweep holds at most one volume-sized result.
-        made = []
-
-        def tracked(real):
-            def wrapper(*args, **kwargs):
-                assert [ref() for ref in made] == [None] * len(made)
-                out = real(*args, **kwargs)
-                if isinstance(out, np.ndarray):
-                    made.append(weakref.ref(out))
-                return out
-
-            return wrapper
-
-        for module, name in ((s3dsvd, "reconstruct"), (baselines, "tucker_reconstruct"),
-                             (baselines, "_hooi")):
-            monkeypatch.setattr(module, name, tracked(getattr(module, name)))
+    def test_sweep_forms_no_reconstruction(self, blob_volume, monkeypatch):
+        # s3dsvd and tucker rows are scored from slabs of their expansion:
+        # each is the score of its reconstruction, which no row forms.
         x = volume_io.read_volume(blob_volume)
-        rows = cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 3, 4]).rows
-        assert len(rows) == len(made) == 6
+        ks = [1, 2, 3, 4]
+        hosvd = s3dsvd.decompose(x, max(ks))
+        want = [metrics.score(x, s3dsvd.reconstruct(hosvd, k), "s3dsvd", k, metrics.per(hosvd, k))
+                for k in ks]
+        want += [metrics.score(x, baselines.tucker_reconstruct(baselines._hooi(x, hosvd, k)),
+                               "tucker", k) for k in ks]
+
+        def forbidden(*args):
+            raise AssertionError("the sweep formed a reconstruction")
+
+        monkeypatch.setattr(s3dsvd, "reconstruct", forbidden)
+        monkeypatch.setattr(baselines, "tucker_reconstruct", forbidden)
+        rows = cli.run_sweep(x, ["s3dsvd", "tucker"], ks).rows
+        assert [{**row, "time_s": None} for row in rows] == want
+
+    def test_sweep_allocates_less_than_a_volume_beyond_x(self):
+        # x is allocated before tracing starts, so the peak is the sweep's own.
+        x = volume_io.gen_synthetic("blobs_noisy", (64, 64, 64), seed=4)
+        tracemalloc.start()
+        try:
+            cli.run_sweep(x, ["s3dsvd", "tucker"], [4, 8, 16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
     # s3dsvd and tucker share one decompose(x, max(ks)); each cpd study
     # compresses once, at min(2k, min(x.shape)), for all its seeds.

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -166,6 +167,52 @@ class TestReconstruct:
             err2 = tc.frobenius_norm(x - s3dsvd.reconstruct(model, k)) ** 2
             bound = sum(float(t[k]) if k < len(t) else 0.0 for t in tails)
             assert err2 <= bound * (1 + 1e-10) + 1e-12
+
+
+# (dims, r): the expansion's last product has n1 n2 rows and slabs of
+# ceil(8 * 8192 / n3) rows, so these cover a last slab of two rows
+# (10 of 8), a one-row tail folded in with n1 = 1 (9 of 8), ragged slabs
+# whose blocks straddle them (21 of 14, 300 of 219) and one slab (156).
+STREAMED_CASES = [((2, 5, 8192), 2), ((1, 9, 8192), 1), ((3, 7, 5000), 3),
+                  ((20, 15, 300), 8), ((12, 13, 14), 6)]
+
+
+def streamed_levels(r):
+    return sorted({1, max(1, r // 2), r})
+
+
+class TestStreamedScore:
+    @pytest.mark.parametrize("dims,r", STREAMED_CASES)
+    def test_score_is_the_score_of_the_reconstruction(self, dims, r):
+        x = np.random.default_rng(40).standard_normal(dims)
+        model = s3dsvd.decompose(x, r)
+        for k in streamed_levels(r):
+            per = metrics.per(model, k)
+            got = s3dsvd._score(x, model.core, model.factors, k, "s3dsvd", per, 0.5)
+            want = metrics.score(x, s3dsvd.reconstruct(model, k), "s3dsvd", k, per, 0.5)
+            assert got.keys() == want.keys()
+            assert all(got[key] == want[key] for key in want)
+
+    def test_overflowing_residual_is_scored_from_the_reconstruction(self):
+        # A huge finite x whose squared residual overflows float64.
+        x = np.random.default_rng(41).random((5, 6, 7)) * 1e160
+        model = s3dsvd.decompose(x, 2)
+        xhat = s3dsvd.reconstruct(model, 2)
+        assert math.isinf(tc._residual(x, xhat)[0])
+        row = s3dsvd._score(x, model.core, model.factors, 2, "s3dsvd", time_s=0.5)
+        assert row == metrics.score(x, xhat, "s3dsvd", 2, time_s=0.5)
+        assert math.isfinite(row["psnr_db"]) and row["rel_err"] > 0.1
+
+    @pytest.mark.parametrize("dims,r", STREAMED_CASES)
+    def test_expand_matches_einsum(self, dims, r):
+        x = np.random.default_rng(42).standard_normal(dims)
+        model = s3dsvd.decompose(x, r)
+        for k in streamed_levels(r):
+            us = [u[:, :k] for u in model.factors]
+            want = np.einsum("abc,ia,jb,kc->ijk", model.core[:k, :k, :k], *us)
+            got = s3dsvd.expand(model.core, model.factors, k)
+            assert got.flags.c_contiguous
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestDiagonalExpansion:

@@ -582,6 +582,29 @@ class TestSharedChecks:
         assert [b.size for b in blocks] == [b.size for b in want]
         assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
 
+    # rows x inner @ inner x cols: last slab two rows (10 of 8192), a one-row
+    # tail folded into the slab before it (9 of 8192, 5 of 40000), ragged
+    # slabs whose blocks straddle them (21 of 5000, 600 of 128), inner 1,
+    # and a single row.
+    PRODUCT_CASES = [(10, 3, 8192), (9, 2, 8192), (5, 3, 40000), (21, 4, 5000), (600, 5, 128),
+                     (7, 1, 3000), (1, 3, 100)]
+
+    @pytest.mark.parametrize("rows,inner,cols", PRODUCT_CASES)
+    def test_product_blocks_are_the_product_block_for_block(self, rows, inner, cols):
+        rng = np.random.default_rng(38)
+        a, b = rng.standard_normal((rows, inner)), rng.standard_normal((cols, inner)).T
+        blocks = list(tc._product_blocks(a, b))
+        want = list(tc._slabs((a @ b).ravel(), tc._BLOCK))
+        assert [b.size for b in blocks] == [b.size for b in want]
+        assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+
+    @pytest.mark.parametrize("rows,inner,cols", PRODUCT_CASES)
+    def test_product_residual_is_the_residual_of_the_product(self, rows, inner, cols):
+        rng = np.random.default_rng(39)
+        a, b = rng.standard_normal((rows, inner)), rng.standard_normal((cols, inner)).T
+        x = rng.standard_normal((rows, cols))
+        assert tc._product_residual(x, a, b) == tc._residual(x, a @ b, with_norm=True)
+
     def test_check_finite_builds_no_array_sized_temporary(self):
         a = np.ones(2_000_000)
         tracemalloc.start()
