@@ -6,8 +6,9 @@ unfolding, taken from the SVD of the small triangular factor of a QR of
 the unfolding's transpose (:func:`volrank.tensor_core.mode_factor`).
 That QR is a blocked TSQR over row blocks of at least 1,024 rows, fixed
 by the shape alone (Demmel, Grigori, Hoemmen & Langou, SISC 34(1),
-2012); it and the SVD run on one OpenBLAS thread, so a model's bytes do
-not depend on the thread count.  The input is contracted against the
+2012), each block a LAPACK ``dgeqrt`` from numpy's bundled OpenBLAS, or
+``np.linalg.qr`` without that library; it and the SVD run on one
+OpenBLAS thread, so a model's bytes do not depend on the thread count.  The input is contracted against the
 factors to obtain an ``r x r x r`` core ``g``, and the signed core
 diagonal ``qsigma[i] = g[i, i, i]`` is read in index order (no
 re-sorting; magnitudes are usually but not always

@@ -30,9 +30,13 @@ Conventions used throughout the package:
   SISC 34(1), 2012).  A block is whole slabs of the volume holding at
   least ``max(1024, 2 n)`` rows, and the block ``R``s are merged by the
   same rule until one remains, so the tree depends on the shape alone.
-  Every QR and SVD of a factor runs on one thread of numpy's bundled
-  OpenBLAS, set through ``ctypes``, so a factor's bits do not depend on
-  the thread count; the matrix products stay threaded.
+  Each block QR and merge is LAPACK's recursive blocked QR, ``dgeqrt``
+  (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000), which numpy's
+  bundled OpenBLAS exports and :func:`_qr_r` calls through ``ctypes``;
+  without that library it is ``np.linalg.qr``.  Every QR and SVD of a
+  factor runs on one thread of that OpenBLAS, also set through
+  ``ctypes``, so a factor's bits do not depend on the thread count; the
+  matrix products stay threaded.
 * :func:`mode_product` writes its result in C order with no transpose
   copy, as one matrix product per mode.
 * The Kruskal sum of weighted rank-one terms, which serves CPD models,
@@ -245,10 +249,16 @@ def _product_blocks(a, b):
     the whole product, so the blocks match bit for bit.  A slab holds
     about 8 blocks, or the whole product if that is smaller, and never
     one row alone: a one-row product takes BLAS's matrix-vector path,
-    whose sums differ.
+    whose sums differ.  Where a whole number of blocks fits in such a
+    slab, a slab is the most whole blocks that fit (5 for rows of 160
+    entries), so no block straddles two slabs and none is copied.
     """
     n = len(a)
-    starts = list(range(0, n, max(2, -(-8 * _BLOCK // b.shape[1]))))
+    step = max(2, -(-8 * _BLOCK // b.shape[1]))
+    unit = _BLOCK // math.gcd(_BLOCK, b.shape[1])
+    if unit <= step:
+        step -= step % unit
+    starts = list(range(0, n, step))
     if len(starts) > 1 and starts[-1] == n - 1:
         starts.pop()
     rest = np.empty(0)
@@ -368,12 +378,15 @@ def svd(m):
 
 
 @functools.cache
-def _openblas_threads():
-    """numpy's bundled OpenBLAS thread-count ``(get, set)`` calls, or ``None``.
+def _openblas():
+    """numpy's bundled OpenBLAS as the loaded ``ctypes.CDLL``, or ``None``.
 
     numpy's wheels ship ``libscipy_openblas64_`` in ``numpy.libs`` beside
     the package.  numpy has loaded it already, so ``CDLL`` only finds the
-    loaded copy.
+    loaded copy.  A library without the thread-count calls is no match.
+    Its ILP64 interface takes every integer as an int64, so this declares
+    the signatures of the calls :class:`_OneBlasThread` and :func:`_qr_r`
+    make; the QR's ``dgeqrt`` may be missing.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
@@ -390,7 +403,14 @@ def _openblas_threads():
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            geqrt = getattr(lib, "scipy_dgeqrt_64_", None)
+            if geqrt is not None:
+                # Without argtypes, ctypes passes the arrays as 32-bit ints.
+                int64 = ctypes.POINTER(ctypes.c_int64)
+                matrix = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+                geqrt.argtypes = [int64, int64, int64, matrix, int64, matrix, int64, matrix, int64]
+                geqrt.restype = None
+            return lib
     return None
 
 
@@ -409,25 +429,58 @@ class _OneBlasThread:
         self._saved = None
 
     def __enter__(self):
-        calls = _openblas_threads()
+        lib = _openblas()
         with self._lock:
-            if calls and self._depth == 0:
-                self._saved = calls[0]()
-                calls[1](1)
+            if lib is not None and self._depth == 0:
+                self._saved = lib.scipy_openblas_get_num_threads64_()
+                lib.scipy_openblas_set_num_threads64_(1)
             self._depth += 1
 
     def __exit__(self, *exc):
-        calls = _openblas_threads()
+        lib = _openblas()
         with self._lock:
             self._depth -= 1
-            if calls and self._depth == 0:
-                calls[1](self._saved)
+            if lib is not None and self._depth == 0:
+                lib.scipy_openblas_set_num_threads64_(self._saved)
 
 
 _one_blas_thread = _OneBlasThread()
 
-# Least rows per TSQR block and per merge.  On 2 cores, decompose at 128^3
-# and r = 32 took 245, 269 and 391 ms with 1,024, 2,048 and 4,096 rows.
+
+def _qr_r(a):
+    """``np.linalg.qr(a, mode="r")``: the ``min(m, n) x n`` ``R`` of an ``m x n`` ``a``.
+
+    It runs LAPACK's recursive blocked QR, ``dgeqrt`` (Elmroth &
+    Gustavson, IBM J. Res. Dev. 44(4), 2000), with ``nb = min(32, m, n)``
+    columns a block, from numpy's bundled OpenBLAS (:func:`_openblas`).
+    On one thread it took 1.6 ms where ``np.linalg.qr``'s ``dgeqrf`` took
+    4.6 ms for a 1,024 x 128 block.  ``dgeqrt`` overwrites its input, so
+    it gets a private Fortran-order copy; ``np.asfortranarray`` would hand
+    back the caller's volume when ``a`` is already a Fortran view of it.
+    Without that library or symbol it is ``np.linalg.qr`` itself.
+    """
+    geqrt = getattr(_openblas(), "scipy_dgeqrt_64_", None)
+    if geqrt is None:
+        return np.linalg.qr(a, mode="r")
+    a = np.array(a, dtype=np.float64, order="F")
+    m, n = a.shape
+    k = min(m, n)
+    nb = min(32, k)
+    t, work = np.empty((nb, k), order="F"), np.empty((nb, n), order="F")
+    info = ctypes.c_int64()
+    ints = [ctypes.byref(ctypes.c_int64(v)) for v in (m, n, nb, m, nb)]
+    geqrt(*ints[:3], a, ints[3], t, ints[4], work, ctypes.byref(info))
+    if info.value:
+        # Only an illegal argument sets info: a bug here, not a numeric failure.
+        raise RuntimeError(f"dgeqrt rejected argument {-info.value}")
+    return np.triu(a[:k])
+
+
+# Least rows per TSQR block and per merge.  With dgeqrt on 2 cores, the
+# least of 12 decompose times with 512, 1,024, 2,048 and 4,096 rows was
+# 128, 106, 98 and 113 ms at 128^3, r = 32, and 120, 102, 96 and 97 ms at
+# 96x128x160, r = 48.  2,048 rows would change every model's last bits
+# for a few percent, so 1,024 stays.
 _TSQR_ROWS = 1024
 
 
@@ -442,13 +495,15 @@ def _tsqr_r(w):
     A block is the fewest whole slabs ``w[i : i + s]`` that hold
     ``rows = max(_TSQR_ROWS, 2 n)`` rows; the block ``R``s are merged, the
     fewest that hold ``rows`` rows at a time, until one ``R`` remains.  So
-    the tree depends on the shape alone.  Each level is a generator, so
-    only a few blocks and ``R``s are alive at once.
+    the tree depends on the shape alone.  Every block and merge is one
+    :func:`_qr_r`: ``dgeqrt`` from numpy's bundled OpenBLAS, or
+    ``np.linalg.qr`` without it.  Each level is a generator, so only a
+    few blocks and ``R``s are alive at once.
     """
     p, n, q = w.shape
     rows = max(_TSQR_ROWS, 2 * n)
     s, group = -(-rows // q), -(-rows // n)
-    rs = (np.linalg.qr(_unfolded(b).T, mode="r") for b in _slabs(w, s))
+    rs = (_qr_r(_unfolded(b).T) for b in _slabs(w, s))
     count = -(-p // s)
     while count > 1:
         rs, count = _merged(rs, group), -(-count // group)
@@ -458,7 +513,7 @@ def _tsqr_r(w):
 def _merged(rs, group):
     """``R`` of each run of ``group`` consecutive ``rs``, stacked, in order."""
     for first in rs:
-        yield np.linalg.qr(np.concatenate([first, *itertools.islice(rs, group - 1)]), mode="r")
+        yield _qr_r(np.concatenate([first, *itertools.islice(rs, group - 1)]))
 
 
 def mode_factor(x, mode, r):
@@ -470,8 +525,10 @@ def mode_factor(x, mode, r):
     :func:`svd` as the transpose of its TSQR factor (:func:`_tsqr_r`),
     which copies only one mode-2 block at a time; any other goes through
     as it is.  Either way the columns keep :func:`svd`'s sign convention.
-    Every QR and the SVD run on one OpenBLAS thread, where such a call
-    ran up to 4x faster than on two.
+    The QRs are LAPACK's ``dgeqrt`` from numpy's bundled OpenBLAS, about
+    twice as fast as ``np.linalg.qr``, which serves without that library
+    (:func:`_qr_r`).  Every QR and the SVD run on one OpenBLAS thread,
+    where such a call ran up to 4x faster than on two.
     """
     x = as_tensor3(x)
     _check_mode(mode)

@@ -292,14 +292,56 @@ class TestModeFactor:
         dims = [p, q]
         dims.insert(mode - 1, n)
         x = np.random.default_rng(p + n + q).standard_normal(dims)
-        calls, qr = [], np.linalg.qr
-        monkeypatch.setattr(tc.np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode))
+        calls, qr_r = [], tc._qr_r
+        monkeypatch.setattr(tc, "_qr_r", lambda a: calls.append(a.shape) or qr_r(a))
         got = tc.mode_factor(x, mode, 4)
         assert len(calls) == qrs
         want = tc.svd(tc.unfold(x, mode)).u[:, :4]
         assert np.max(np.abs(got - want)) < 1e-10
         for j in range(4):
             assert got[np.argmax(np.abs(got[:, j])), j] > 0
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("pnq", [pnq for pnq, _ in EDGES])
+    def test_numpy_fallback_agrees_with_lapack(self, monkeypatch, pnq, mode):
+        p, n, q = pnq
+        dims = [p, q]
+        dims.insert(mode - 1, n)
+        x = np.random.default_rng(p + n + q).standard_normal(dims)
+        want = tc.svd(tc.unfold(x, mode)).u[:, :4]
+        lapack = None
+        if getattr(tc._openblas(), "scipy_dgeqrt_64_", None) is not None:
+            lapack = tc.mode_factor(x, mode, 4)
+        monkeypatch.setattr(tc, "_openblas", lambda: None)
+        got = tc.mode_factor(x, mode, 4)
+        assert np.max(np.abs(got - want)) < 1e-10
+        for j in range(4):
+            assert got[np.argmax(np.abs(got[:, j])), j] > 0
+        if lapack is None:
+            pytest.skip("numpy's bundled OpenBLAS has no dgeqrt; the fallback alone was checked")
+        assert np.max(np.abs(lapack - want)) < 1e-10
+        assert np.max(np.abs(lapack - got)) < 1e-10
+
+    # (8, 32, 32) at mode 1 is one TSQR block whose transpose is an
+    # F-contiguous view of the volume itself, which dgeqrt would overwrite.
+    @pytest.mark.parametrize("dims, mode", [((8, 32, 32), 1), ((32, 8, 32), 2), ((32, 32, 8), 3),
+                                            ((40, 48, 56), 1), ((40, 48, 56), 2)])
+    def test_leaves_its_input_unchanged(self, dims, mode):
+        x = np.random.default_rng(16).standard_normal(dims)
+        before = x.copy()
+        tc.mode_factor(x, mode, 4)
+        assert np.array_equal(x, before)
+
+    def test_an_illegal_lapack_argument_is_a_bug_not_a_numeric_error(self, monkeypatch):
+        class Library:
+            @staticmethod
+            def scipy_dgeqrt_64_(*args):
+                args[-1]._obj.value = -4
+
+        monkeypatch.setattr(tc, "_openblas", Library)
+        with pytest.raises(RuntimeError, match="^dgeqrt rejected argument 4$") as caught:
+            tc._qr_r(np.ones((40, 4)))
+        assert not isinstance(caught.value, errors.VolrankError)
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_peak_memory_is_a_few_blocks(self, mode):
@@ -319,10 +361,10 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def threads(self):
-        calls = tc._openblas_threads()
-        if calls is None:
+        lib = tc._openblas()
+        if lib is None:
             pytest.skip("numpy's bundled OpenBLAS was not found")
-        get, set_ = calls
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         before = get()
         set_(2)
         yield get
@@ -361,13 +403,13 @@ class TestOneBlasThread:
             return object()
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        tc._openblas_threads.cache_clear()
+        tc._openblas.cache_clear()
         try:
-            assert tc._openblas_threads() is None
+            assert tc._openblas() is None
             with tc._one_blas_thread:
                 got = [tc.mode_factor(x, mode, 8) for mode in (1, 2, 3)]
         finally:
-            tc._openblas_threads.cache_clear()
+            tc._openblas.cache_clear()
         for u, v in zip(got, want):
             assert np.max(np.abs(u - v)) < 1e-10
 
@@ -584,10 +626,10 @@ class TestSharedChecks:
 
     # rows x inner @ inner x cols: last slab two rows (10 of 8192), a one-row
     # tail folded into the slab before it (9 of 8192, 5 of 40000), ragged
-    # slabs whose blocks straddle them (21 of 5000, 600 of 128), inner 1,
-    # and a single row.
+    # slabs whose blocks straddle them (21 of 5000, 600 of 128), slabs cut
+    # to 5 whole blocks (600 of 160), inner 1, and a single row.
     PRODUCT_CASES = [(10, 3, 8192), (9, 2, 8192), (5, 3, 40000), (21, 4, 5000), (600, 5, 128),
-                     (7, 1, 3000), (1, 3, 100)]
+                     (600, 48, 160), (7, 1, 3000), (1, 3, 100)]
 
     @pytest.mark.parametrize("rows,inner,cols", PRODUCT_CASES)
     def test_product_blocks_are_the_product_block_for_block(self, rows, inner, cols):
@@ -597,6 +639,16 @@ class TestSharedChecks:
         want = list(tc._slabs((a @ b).ravel(), tc._BLOCK))
         assert [b.size for b in blocks] == [b.size for b in want]
         assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+
+    def test_product_blocks_join_no_slabs_of_whole_blocks(self, monkeypatch):
+        # An s3dsvd level at 96x128x160 has rows of 160 entries: slabs of
+        # 256 rows hold 5 blocks each, so no block spans two slabs.
+        rng = np.random.default_rng(38)
+        a, b = rng.standard_normal((12288, 48)), rng.standard_normal((48, 160))
+        joins, concatenate = [], np.concatenate
+        monkeypatch.setattr(tc.np, "concatenate", lambda *args: joins.append(1) or concatenate(*args))
+        blocks = list(tc._product_blocks(a, b))
+        assert joins == [] and len(blocks) == 12288 * 160 // tc._BLOCK
 
     @pytest.mark.parametrize("rows,inner,cols", PRODUCT_CASES)
     def test_product_residual_is_the_residual_of_the_product(self, rows, inner, cols):
