@@ -238,10 +238,16 @@ def _check_seed(seed):
 
 
 def _check_seeds(seeds):
-    """Return ``seeds`` as a tuple if it is non-empty and :func:`_check_seed` holds for each."""
+    """Return ``seeds`` as a tuple if non-empty and distinct, each passing :func:`_check_seed`.
+
+    A repeated seed is a copy of one fit, which would shrink a study's
+    confidence half-width without adding a run.
+    """
     seeds = tuple(map(_check_seed, seeds))
     if not seeds:
         raise ValueError("seeds must be a non-empty sequence")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {', '.join(map(str, seeds))}")
     return seeds
 
 
@@ -474,8 +480,9 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
 
     ``threads`` > 1 distributes the independent runs over a thread pool;
     results are identical to serial execution apart from wall-clock
-    timings.  Every seed is checked as :func:`cpd_decompose` checks it
-    before the compression; a failing run aborts the study, naming its seed.
+    timings.  Before the compression, :func:`_check_seeds` refuses an
+    empty or repeated seed list and any seed :func:`cpd_decompose` would
+    refuse.  A failing run aborts the study, naming its seed.
     """
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")

@@ -9,6 +9,11 @@ file, 4 numeric failure, 5 file system error.  Runtime errors print a
 single machine-readable line on stderr:
 ``volrank: error: <ErrorType>: <message>``.
 
+Argument parsing only turns text into values.  Each value's rule lives
+where the value is used (``gen_synthetic``, :func:`_check_sweep`, the
+slice check of ``reconstruct``), so library callers meet the same rules
+and a broken one is that error line with exit 2.
+
 Floats are written with ``repr``'s shortest round-trip formatting, with
 ``inf`` spelled literally, so CSV output is byte-stable across runs.
 ``VOLRANK_THREADS`` caps sweep parallelism (default 1, serial).
@@ -45,55 +50,15 @@ def _fmt(value):
     return "" if value is None else repr(float(value))
 
 
-def _int_list(text, what, minimum=0):
+def _int_list(text):
+    """Comma-separated integers as a non-empty list; the library checks their values."""
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} must be comma-separated integers")
+        raise argparse.ArgumentTypeError("expected comma-separated integers") from None
     if not values:
-        raise argparse.ArgumentTypeError(f"{what} must not be empty")
-    if min(values) < minimum:
-        raise argparse.ArgumentTypeError(f"{what} entries must be >= {minimum}")
+        raise argparse.ArgumentTypeError("expected at least one integer")
     return values
-
-
-def _dims_arg(text):
-    dims = _int_list(text, "--dims", minimum=1)
-    if len(dims) != 3:
-        raise argparse.ArgumentTypeError("--dims must be three comma-separated integers")
-    return tuple(dims)
-
-
-def _ks_arg(text):
-    ks = _int_list(text, "--ks", minimum=1)
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise argparse.ArgumentTypeError("--ks must be strictly increasing")
-    return ks
-
-
-def _seeds_arg(text):
-    seeds = _int_list(text, "--seeds", minimum=0)
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError("--seeds entries must be unique")
-    return seeds
-
-
-def _slices_arg(text):
-    return _int_list(text, "--slices", minimum=0)
-
-
-def _methods_arg(text):
-    methods = [part.strip() for part in text.split(",") if part.strip()]
-    if not methods:
-        raise argparse.ArgumentTypeError("--method must not be empty")
-    for name in methods:
-        if name not in ("s3dsvd", "tucker", "cpd"):
-            raise argparse.ArgumentTypeError(
-                f"unknown method {name!r}; expected s3dsvd, tucker, or cpd"
-            )
-    if len(set(methods)) != len(methods):
-        raise argparse.ArgumentTypeError("--method entries must be unique")
-    return methods
 
 
 def _threads_from_env():
@@ -127,12 +92,39 @@ _CI_COLUMNS = {
 }
 
 
+def _check_sweep(methods, ks, seeds):
+    """Refuse a grid :func:`run_sweep` cannot run; return ``seeds`` as a tuple.
+
+    ``methods`` must be distinct names from ``volume_io._LAYOUTS``, ``ks``
+    a non-empty, strictly increasing sequence of levels >= 1, and ``seeds``
+    must pass :func:`volrank.baselines._check_seeds` whatever the methods.
+    """
+    names = tuple(volume_io._LAYOUTS)
+    if len(methods) == 0:
+        raise ValueError("methods must not be empty")
+    for name in methods:
+        if name not in names:
+            raise ValueError(f"unknown method {name!r}; expected one of {', '.join(names)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct, got {', '.join(methods)}")
+    if len(ks) == 0:
+        raise ValueError("ks must not be empty")
+    if min(ks) < 1:
+        raise ValueError(f"ks must be at least 1, got {min(ks)}")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"ks must be strictly increasing, got {', '.join(map(str, ks))}")
+    return baselines._check_seeds(seeds)
+
+
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     """Benchmark ``methods`` at every k in ``ks`` against volume ``x``.
 
-    Every row's time is fit time only.  cpd's seeds, and a cpd-only
-    sweep's ``max(ks)``, are checked as :func:`volrank.baselines.cpd_study`
-    checks them before any fit.  s3dsvd and tucker share one
+    Every row's time is fit time only.  Before any fit, :func:`_check_sweep`
+    refuses empty, unknown or repeated methods, ks that are empty, below 1
+    or not strictly increasing, and seeds that
+    :func:`volrank.baselines.cpd_study` would refuse, whatever the methods;
+    a cpd-only sweep's ``max(ks)`` is checked as ``cpd_study`` checks its
+    rank.  s3dsvd and tucker share one
     ``decompose(x, max(ks))``, computed before any row, so a level beyond
     the volume fails before any method is fitted.  s3dsvd truncates it
     per k, charging each row an equal share of its time.  Each tucker k
@@ -150,9 +142,8 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         if log is not None:
             print(message, file=log)
 
+    seeds = _check_sweep(methods, ks, seeds)
     rows = []
-    if "cpd" in methods:
-        seeds = baselines._check_seeds(seeds)
     if "s3dsvd" in methods or "tucker" in methods:
         start = time.perf_counter()
         hosvd = s3dsvd.decompose(x, max(ks))
@@ -264,9 +255,8 @@ def _reconstruct_model(model, k):
         return "cpd", model.rank, baselines.cpd_reconstruct(model)
     if k is None:
         raise ValueError("--k is required for s3dsvd and tucker models")
-    if isinstance(model, TuckerModel):
-        return "tucker", k, baselines.tucker_reconstruct(model, k)
-    return "s3dsvd", k, s3dsvd.reconstruct(model, k)
+    method = "tucker" if isinstance(model, TuckerModel) else "s3dsvd"
+    return method, k, s3dsvd.reconstruct(model, k)
 
 
 def _cmd_reconstruct(args):
@@ -274,7 +264,7 @@ def _cmd_reconstruct(args):
     slices = args.slices or ()
     n3 = model.dims[2]
     for index in slices:
-        if index >= n3:
+        if not 0 <= index < n3:
             raise ValueError(f"slice index {index} out of range for n3={n3}")
     _, _, xhat = _reconstruct_model(model, args.k)
     volume_io.write_volume(args.output, xhat)
@@ -308,16 +298,18 @@ def _cmd_metrics(args):
 
 
 def _cmd_sweep(args):
+    methods = [name.strip() for name in args.method.split(",") if name.strip()]
+    _check_sweep(methods, args.ks, args.seeds)  # a bad flag fails before --input is read
     x = volume_io.read_volume(args.input)
     result = run_sweep(
         x,
-        args.method,
+        methods,
         args.ks,
-        seeds=tuple(args.seeds),
+        seeds=args.seeds,
         threads=_threads_from_env(),
         log=sys.stderr,
     )
-    columns = _csv_columns("cpd" in args.method, not args.no_timing)
+    columns = _csv_columns("cpd" in methods, not args.no_timing)
     _write_csv(result.rows, columns, args.csv)
     return EXIT_OK
 
@@ -383,7 +375,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic volume")
     p.add_argument("--kind", required=True, choices=("multirank", "blobs", "blobs_noisy"))
-    p.add_argument("--dims", required=True, type=_dims_arg, help="n1,n2,n3")
+    p.add_argument("--dims", required=True, type=_int_list, help="n1,n2,n3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=int, default=4, help="multilinear rank for multirank")
     p.add_argument("--blobs", type=int, default=32, help="bump count for blobs kinds")
@@ -394,7 +386,7 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="fit a model to a volume")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True, choices=("s3dsvd", "tucker", "cpd"))
+    p.add_argument("--method", required=True, choices=tuple(volume_io._LAYOUTS))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--seed", type=int, default=0, help="cpd initialization seed")
     p.add_argument("--output", required=True)
@@ -406,7 +398,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument(
         "--slices",
-        type=_slices_arg,
+        type=_int_list,
         default=None,
         help="mode-3 slice indices to dump as text files next to --output",
     )
@@ -423,14 +415,9 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="benchmark methods across truncation levels")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--method",
-        required=True,
-        type=_methods_arg,
-        help="comma-separated subset of s3dsvd,tucker,cpd",
-    )
-    p.add_argument("--ks", required=True, type=_ks_arg, help="strictly increasing levels")
-    p.add_argument("--seeds", type=_seeds_arg, default=list(DEFAULT_SEEDS))
+    p.add_argument("--method", required=True, help="comma-separated subset of s3dsvd,tucker,cpd")
+    p.add_argument("--ks", required=True, type=_int_list, help="strictly increasing levels")
+    p.add_argument("--seeds", type=_int_list, default=DEFAULT_SEEDS)
     p.add_argument("--csv", default=None, help="output path (default stdout)")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_sweep)

@@ -236,11 +236,6 @@ def _rank_one_operands(weights, u1, u2, u3):
     return u1 * weights, kr
 
 
-def _rank_one_blocks(weights, u1, u2, u3):
-    """:func:`_rank_one_sum`, raveled and cut as :func:`_blocks` cuts it, without the volume."""
-    return _product_blocks(*_rank_one_operands(weights, u1, u2, u3))
-
-
 def _product_blocks(a, b):
     """``(a @ b).ravel()`` cut as :func:`_blocks` cuts it, without the product.
 

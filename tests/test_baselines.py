@@ -712,9 +712,12 @@ class TestCpdStudy:
         assert all(math.isnan(study.ci_halfwidth[k]) for k in baselines.STUDY_METRIC_KEYS)
 
     def test_identical_seeds_zero_variance(self):
+        # Ten distinct seeds whose runs all reach the same bits: agreeing
+        # runs give a half-width of exactly 0.0, not a rounding residue.
         x, _ = rank_one_target(seed=19)
-        study = baselines.cpd_study(x, 1, seeds=[4] * 10)
+        study = baselines.cpd_study(x, 1, seeds=range(10))
         for key in ("psnr_db", "mse", "rel_err"):
+            assert len({row[key] for _, row in study.runs}) == 1
             assert study.ci_halfwidth[key] == 0.0
 
     def test_serial_and_threaded_agree_exactly(self):
@@ -763,6 +766,15 @@ class TestCpdStudy:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             baselines.cpd_study(np.ones((3, 3, 3)), 1, seeds=[])
+
+    def test_repeated_seeds_rejected_before_any_fit(self, monkeypatch):
+        # A repeated seed is a copy of one fit, not another run.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(baselines, "decompose", no_fit)
+        with pytest.raises(ValueError, match="^seeds must be distinct, got 4, 4$"):
+            baselines.cpd_study(np.ones((3, 3, 3)), 1, seeds=[4, 4])
 
     def test_student_t_quantile_used(self):
         # Hand-check the half-width formula on a known sample via one

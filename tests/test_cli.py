@@ -20,6 +20,15 @@ def run_cli(*args):
     return cli.main([str(a) for a in args])
 
 
+def forbid_fits(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(s3dsvd, "decompose", no_fit)
+    monkeypatch.setattr(baselines, "decompose", no_fit)
+    monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -57,6 +66,24 @@ class TestGen:
     def test_bad_dims_exits_2(self, tmp_path):
         assert run_cli("gen", "--kind", "blobs", "--dims", "4,8",
                        "--output", tmp_path / "x.s3dv") == 2
+
+    # gen_synthetic alone checks the dims; text that is no integer list
+    # stays an argparse usage error.
+    @pytest.mark.parametrize(
+        "dims, message",
+        [("4,8", "ShapeError: dims must be three positive integers, got (4, 8)"),
+         ("0,4,4", "ShapeError: dims must be three positive integers, got (0, 4, 4)"),
+         ("", None)],
+    )
+    def test_dims_rule_is_one_error_line(self, tmp_path, capsys, dims, message):
+        out = tmp_path / "x.s3dv"
+        assert run_cli("gen", "--kind", "blobs", "--dims", dims, "--output", out) == 2
+        err = capsys.readouterr().err
+        if message is None:
+            assert "argument --dims: expected at least one integer" in err
+        else:
+            assert err == f"volrank: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "1e308"])
     def test_noise_numpy_cannot_draw_exits_2(self, tmp_path, capsys, noise):
@@ -189,6 +216,26 @@ class TestReconstruct:
         assert capsys.readouterr().err == (
             "volrank: error: ValueError: slice index 999 out of range for n3=14\n"
         )
+        assert list(tmp_path.glob("r.s3dv*")) == []
+
+    @pytest.mark.parametrize(
+        "slices, message",
+        [("-1", "ValueError: slice index -1 out of range for n3=14"),
+         ("3,-14", "ValueError: slice index -14 out of range for n3=14"), ("", None)],
+    )
+    def test_negative_or_empty_slices_write_no_file(self, blob_volume, tmp_path, capsys,
+                                                    slices, message):
+        model_path = tmp_path / "m.s3dm"
+        run_cli("decompose", "--input", blob_volume, "--method", "s3dsvd",
+                "--rank", "3", "--output", model_path)
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--input", model_path, "--k", "3",
+                       "--output", tmp_path / "r.s3dv", f"--slices={slices}") == 2
+        err = capsys.readouterr().err
+        if message is None:
+            assert "argument --slices: expected at least one integer" in err
+        else:
+            assert err == f"volrank: error: {message}\n"
         assert list(tmp_path.glob("r.s3dv*")) == []
 
 
@@ -522,12 +569,7 @@ class TestSweep:
     )
     def test_cpd_rules_exit_2_before_any_fit(self, blob_volume, tmp_path, capsys,
                                              monkeypatch, methods, ks, seeds, message):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a model was fitted")
-
-        monkeypatch.setattr(s3dsvd, "decompose", no_fit)
-        monkeypatch.setattr(baselines, "decompose", no_fit)
-        monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
+        forbid_fits(monkeypatch)
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--input", blob_volume, "--method", methods,
                        "--ks", ks, "--seeds", seeds, "--csv", out) == 2
@@ -550,6 +592,75 @@ class TestSweep:
             cli.run_sweep(x, ["s3dsvd", "tucker", "cpd"], [2, 4], seeds=(), log=log)
         assert calls == []
         assert log.getvalue() == ""
+
+    # One rule for the library and the CLI: the grid and the seeds are
+    # checked whatever the methods, before any fit and any log line.
+    @pytest.mark.parametrize(
+        "methods, ks, seeds, message",
+        [
+            ([], [2], (0,), "methods must not be empty"),
+            (["foo"], [2], (0,), "unknown method 'foo'; expected one of s3dsvd, tucker, cpd"),
+            (["s3dsvd", "s3dsvd"], [2], (0,), "methods must be distinct, got s3dsvd, s3dsvd"),
+            (["s3dsvd"], [], (0,), "ks must not be empty"),
+            (["s3dsvd"], [0, 2], (0,), "ks must be at least 1, got 0"),
+            (["cpd"], [4, 2], (0,), "ks must be strictly increasing, got 4, 2"),
+            (["tucker"], [2, 2], (0,), "ks must be strictly increasing, got 2, 2"),
+            (["s3dsvd", "tucker"], [2], (1, 1), "seeds must be distinct, got 1, 1"),
+            (["s3dsvd", "cpd"], [2], (1, 1), "seeds must be distinct, got 1, 1"),
+        ],
+    )
+    def test_bad_grid_fails_before_any_fit(self, blob_volume, monkeypatch, methods, ks,
+                                           seeds, message):
+        x = volume_io.read_volume(blob_volume)
+        forbid_fits(monkeypatch)
+        log = io.StringIO()
+        with pytest.raises(ValueError) as info:
+            cli.run_sweep(x, methods, ks, seeds=seeds, log=log)
+        assert str(info.value) == message
+        assert log.getvalue() == ""
+
+    # Each value the old argparse validators refused still exits 2 and
+    # writes nothing; a value rule prints the one error line, and text that
+    # is no integer list stays an argparse usage error.
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"--ks": ""}, None),
+            ({"--ks": "0"}, "ks must be at least 1, got 0"),
+            ({"--ks": "4,2"}, "ks must be strictly increasing, got 4, 2"),
+            ({"--ks": "2,2"}, "ks must be strictly increasing, got 2, 2"),
+            ({"--seeds": ""}, None),
+            ({"--seeds": "0,-1"},
+             "seed must satisfy 0 <= seed <= 18446744073709551615, got -1"),
+            ({"--seeds": "5,5"}, "seeds must be distinct, got 5, 5"),
+            ({"--seeds": "5,5", "--method": "s3dsvd"}, "seeds must be distinct, got 5, 5"),
+            ({"--seeds": "0,x"}, None),
+            ({"--method": ","}, "methods must not be empty"),
+            ({"--method": "hosvd"}, "unknown method 'hosvd'; expected one of s3dsvd, tucker, cpd"),
+            ({"--method": "s3dsvd,s3dsvd"}, "methods must be distinct, got s3dsvd, s3dsvd"),
+        ],
+    )
+    def test_each_value_rule_is_one_error_line(self, blob_volume, tmp_path, capsys,
+                                               monkeypatch, flags, message):
+        forbid_fits(monkeypatch)
+        out = tmp_path / "s.csv"
+        args = {"--method": "cpd", "--ks": "2", "--seeds": "0", **flags}
+        assert run_cli("sweep", "--input", blob_volume, "--csv", out,
+                       *[f"{flag}={value}" for flag, value in args.items()]) == 2
+        err = capsys.readouterr().err
+        if message is None:
+            flag = next(iter(flags))
+            assert f"error: argument {flag}: expected" in err
+        else:
+            assert err == f"volrank: error: ValueError: {message}\n"
+        assert not out.exists()
+
+    def test_bad_flag_fails_before_input_is_read(self, tmp_path, capsys):
+        assert run_cli("sweep", "--input", tmp_path / "missing.s3dv", "--method", "s3dsvd",
+                       "--ks", "4,2") == 2
+        assert capsys.readouterr().err == (
+            "volrank: error: ValueError: ks must be strictly increasing, got 4, 2\n"
+        )
 
     def test_per_threshold_reported_on_stderr(self, blob_volume, tmp_path, capsys):
         run_cli("sweep", "--input", blob_volume, "--method", "s3dsvd",

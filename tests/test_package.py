@@ -4,12 +4,14 @@ dependency and no module imports scipy, every volume the package returns
 is in the layout that metrics and writers use without a copy, and the
 three models share one contract: ``dims, rank, factors`` first, and an
 orthogonal model is those plus a dense core.  The benchmark in
-``perfbench/`` can still trace the package and read its sweep rows."""
+``perfbench/`` can still trace the package and read its sweep rows, and
+the report scripts in ``tools/`` still start."""
 
 import ast
 import dataclasses
 import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import volrank
 from volrank import baselines, cli, s3dsvd, tensor_core as tc, volume_io
 
 MODULES = ("baselines", "errors", "metrics", "s3dsvd", "tensor_core", "volume_io")
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _modules():
@@ -40,8 +43,10 @@ def test_each_name_is_its_module_object():
 
 
 def test_every_module_level_import_is_used():
-    # A stdlib stand-in for a linter's unused-import rule.
-    for path in sorted(Path(volrank.__file__).parent.glob("*.py")):
+    # A stdlib stand-in for a linter's unused-import rule, over the package
+    # and the report scripts.
+    paths = sorted(Path(volrank.__file__).parent.glob("*.py")) + sorted(TOOLS.glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -53,6 +58,31 @@ def test_every_module_level_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == [], path.name
+
+
+# No fast test runs a report, and they reach into private names
+# (``tensor_core._qr_r``, ``tensor_core._openblas``); each must at least start.
+@pytest.mark.parametrize("script", sorted(path.name for path in TOOLS.glob("*.py")))
+def test_each_report_script_starts(script):
+    done = subprocess.run([sys.executable, str(TOOLS / script), "--help"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+
+
+def test_each_package_name_a_report_script_reads_exists():
+    # ``--help`` stops before a script loads the package, which the scripts
+    # bind to ``vr`` and its tensor_core to ``tc``.
+    aliases = {"vr": volrank, "tc": tc}
+    read = [
+        (path.name, node.value.id, node.attr)
+        for path in sorted(TOOLS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    ]
+    assert {"_qr_r", "_openblas", "cpd_study"} <= {attr for _, _, attr in read}
+    assert [entry for entry in read if not hasattr(aliases[entry[1]], entry[2])] == []
 
 
 def _imports(node):

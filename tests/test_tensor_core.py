@@ -619,7 +619,7 @@ class TestSharedChecks:
         factors = [rng.standard_normal((n, k)) for n in dims]
         weights = rng.random(k) + 0.5
         whole = tc._rank_one_sum(weights, *factors)
-        blocks = list(tc._rank_one_blocks(weights, *factors))
+        blocks = list(tc._product_blocks(*tc._rank_one_operands(weights, *factors)))
         want = list(tc._slabs(whole.ravel(), tc._BLOCK))
         assert [b.size for b in blocks] == [b.size for b in want]
         assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
