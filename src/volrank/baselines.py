@@ -402,17 +402,6 @@ def _score_run(x, model, k, time_s):
     return metrics._product_score(x, *operands, "cpd", k, time_s=time_s)
 
 
-def _study_run(x, hosvd, normx, compress_s, k, seed, max_iters, tol):
-    # Relabel numeric failures only; a bug such as a TypeError propagates.
-    try:
-        start = time.perf_counter()
-        model = _cpd_als(hosvd, normx, k, seed, max_iters, tol)
-        row = _score_run(x, model, k, compress_s + (time.perf_counter() - start))
-    except (ArithmeticError, DegenerateInputError) as exc:
-        raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
-    return (seed, row), model
-
-
 def _t975(df):
     """The 0.975 quantile of Student's t with ``df`` degrees of freedom, an integer.
 
@@ -492,7 +481,14 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     compress_s = time.perf_counter() - start
 
     def fit(seed):
-        return _study_run(x, hosvd, normx, compress_s, k, seed, max_iters, tol)
+        # Relabel numeric failures only; a bug such as a TypeError propagates.
+        try:
+            start = time.perf_counter()
+            model = _cpd_als(hosvd, normx, k, seed, max_iters, tol)
+            row = _score_run(x, model, k, compress_s + (time.perf_counter() - start))
+        except (ArithmeticError, DegenerateInputError) as exc:
+            raise NumericError(f"cpd study run failed for seed {seed}: {exc}") from exc
+        return (seed, row), model
 
     if threads is not None and int(threads) > 1:
         from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's start-up path

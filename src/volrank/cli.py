@@ -16,7 +16,8 @@ and a broken one is that error line with exit 2.
 
 Floats are written with ``repr``'s shortest round-trip formatting, with
 ``inf`` spelled literally, so CSV output is byte-stable across runs.
-``VOLRANK_THREADS`` caps sweep parallelism (default 1, serial).
+``VOLRANK_THREADS`` caps sweep parallelism (default 1, serial).  Each CPD
+run fits a small core, so on 2 cores a threaded study ran slower (README).
 """
 
 import argparse
@@ -194,9 +195,8 @@ def _csv_columns(with_ci, with_timing):
     if with_timing:
         columns.append("time_s")
     if with_ci:
-        columns.extend(["psnr_ci", "mse_ci", "relerr_ci"])
-        if with_timing:
-            columns.append("time_ci")
+        # time_s is the last study metric, so time_ci is the last column.
+        columns.extend(ci for key, ci in _CI_COLUMNS.items() if with_timing or key != "time_s")
     return columns
 
 

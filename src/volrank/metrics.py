@@ -2,11 +2,12 @@
 percentage-of-energy-retained (PER) curve over qsigma coefficients.
 
 MSE, PSNR and relative error take the squared residual, and relative
-error ``||x||**2`` too, from one blocked pass over both volumes
-(:func:`volrank.tensor_core._residual`), which forms no volume-sized
-temporary and, like every volume sum, does not depend on BLAS's thread count.
-A reconstruction that is one matrix product ``a @ b`` is scored from slabs
-of rows of ``a`` without forming it (:func:`_product_score`).
+error ``||x||**2`` too, from one blocked pass that reads the
+reconstruction block by block (:func:`volrank.tensor_core._residual`),
+forms no volume-sized temporary and, like every volume sum, does not
+depend on BLAS's thread count.  A reconstruction that is one matrix
+product ``a @ b`` gives its blocks from slabs of rows of ``a``, so it is
+scored without being formed (:func:`_product_score`).
 """
 
 import math
@@ -14,7 +15,14 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError
-from .tensor_core import _check_level, _check_pair, _product_residual, _residual, frobenius_norm
+from .tensor_core import (
+    _blocks,
+    _check_level,
+    _check_pair,
+    _product_blocks,
+    _residual,
+    frobenius_norm,
+)
 
 __all__ = [
     "mse",
@@ -33,7 +41,7 @@ def mse(x, xhat):
     residuals above about 1e154.
     """
     x, xhat = _check_pair(x, xhat)
-    return _residual(x, xhat)[0] / x.size
+    return _residual(x, _blocks(xhat))[0] / x.size
 
 
 def _norm(x, xhat, sq):
@@ -52,7 +60,7 @@ def psnr(x, xhat):
     infinite or zero.
     """
     x, xhat = _check_pair(x, xhat)
-    return _psnr(x, xhat, _residual(x, xhat)[0])
+    return _psnr(x, xhat, _residual(x, _blocks(xhat))[0])
 
 
 def _psnr(x, xhat, sq):
@@ -78,7 +86,7 @@ def _psnr(x, xhat, sq):
 def rel_err(x, xhat):
     """Relative Frobenius error ``||x - xhat|| / frobenius_norm(x)``."""
     x, xhat = _check_pair(x, xhat)
-    return _rel_err(x, xhat, *_residual(x, xhat, with_norm=True))
+    return _rel_err(x, xhat, *_residual(x, _blocks(xhat), with_norm=True))
 
 
 def _rel_err(x, xhat, sq, normsq):
@@ -100,17 +108,17 @@ def score(x, xhat, method, k, per=None, time_s=None):
     :func:`mse` and :func:`rel_err` return.
     """
     x, xhat = _check_pair(x, xhat)
-    return _row(x, xhat, *_residual(x, xhat, with_norm=True), method, k, per, time_s)
+    return _row(x, xhat, *_residual(x, _blocks(xhat), with_norm=True), method, k, per, time_s)
 
 
 def _product_score(x, a, b, method, k, per=None, time_s=None):
     """``score(x, (a @ b).reshape(x.shape), method, k, per, time_s)``, bit for bit.
 
     The residual is summed from slabs of rows of ``a``
-    (:func:`volrank.tensor_core._product_residual`), so the product is
+    (:func:`volrank.tensor_core._product_blocks`), so the product is
     formed only if the squared residual overflows.
     """
-    sq, normsq = _product_residual(x, a, b)
+    sq, normsq = _residual(x, _product_blocks(a, b), with_norm=True)
     xhat = (a @ b).reshape(x.shape) if sq == math.inf else None
     return _row(x, xhat, sq, normsq, method, k, per, time_s)
 

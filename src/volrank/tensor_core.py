@@ -1,5 +1,5 @@
-"""Dense third-order tensor primitives: unfolding, folding, mode products, SVD,
-and per-mode factors.
+"""Dense third-order tensor primitives: unfolding, mode products, SVD, and
+per-mode factors.
 
 Conventions used throughout the package:
 
@@ -9,9 +9,9 @@ Conventions used throughout the package:
 * Modes are numbered 1..3 to match the usual tensor literature.
 * ``unfold(x, m)`` arranges mode-m fibers as columns of an
   ``n_m x (prod of the other dims)`` matrix, with the lower-numbered
-  remaining mode varying fastest across columns.  It and :func:`fold`
-  are reference definitions that no fit calls.  For a 2x2x2 tensor
-  with entries ``x[i, j, k] = 4i + 2j + k`` the mode-1 unfolding is::
+  remaining mode varying fastest across columns.  It is a reference
+  definition that no fit calls.  For a 2x2x2 tensor with entries
+  ``x[i, j, k] = 4i + 2j + k`` the mode-1 unfolding is::
 
       [[0, 2, 1, 3],
        [4, 6, 5, 7]]
@@ -41,14 +41,14 @@ Conventions used throughout the package:
   copy, as one matrix product per mode.
 * The Kruskal sum of weighted rank-one terms, which serves CPD models,
   the s3dsvd diagonal expansion and the synthetic volumes, is one GEMM
-  whose output is already in C order.  The residual of a volume against
-  such a product ``a @ b``, this GEMM or the last mode product of an
-  orthogonal expansion, is summed from slabs of rows of ``a``
-  (:func:`_product_residual`), so the product's volume is never formed.
+  whose output is already in C order.
 * Every sum over a volume, in :func:`inner_product`, :func:`frobenius_norm`
   and the metrics, adds one ``np.dot`` per ``_BLOCK``-entry block in index
   order.  No dot is long enough for BLAS to thread, so no sum's bits
-  depend on the thread count.
+  depend on the thread count.  The residual pass (:func:`_residual`)
+  reads the reconstruction in such blocks, so a product ``a @ b``, the
+  Kruskal GEMM or an orthogonal expansion's last mode product, is scored
+  from slabs of rows of ``a`` (:func:`_product_blocks`), never formed.
 """
 
 from dataclasses import dataclass
@@ -67,7 +67,6 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "SvdResult",
     "as_tensor3",
-    "fold",
     "frobenius_norm",
     "inner_product",
     "mode_product",
@@ -151,33 +150,25 @@ def _slabs(a, step):
     return (a[i : i + step] for i in range(0, len(a), step))
 
 
-def _blocks(a, b):
-    """Matching ``_BLOCK``-entry blocks of raveled ``a`` and ``b``, in index order."""
-    return zip(_slabs(a.ravel(), _BLOCK), _slabs(b.ravel(), _BLOCK))
+def _blocks(a):
+    """``_BLOCK``-entry blocks of raveled ``a``, in index order."""
+    return _slabs(a.ravel(), _BLOCK)
 
 
-def _residual(a, b, with_norm=False):
-    """``(||a - b||**2, ||a||**2)``, the second only ``with_norm`` (else 0.0).
+def _residual(x, blocks, with_norm=False):
+    """``(||x - xhat||**2, ||x||**2)``, the second only ``with_norm`` (else 0.0).
 
-    One pass over :func:`_blocks`, each block of ``a - b`` subtracted into
-    one scratch buffer, so no volume-sized array is formed.  ``||a||**2``
-    adds the dots :func:`frobenius_norm` adds; an overflowed sum is ``inf``.
+    ``blocks`` are ``xhat``'s ``_BLOCK``-entry blocks in index order:
+    :func:`_blocks` of a formed volume, or :func:`_product_blocks` of a
+    product that is never formed.  Each block of ``x - xhat`` is
+    subtracted into one scratch buffer, so no volume-sized array is
+    formed.  ``||x||**2`` adds the dots :func:`frobenius_norm` adds; an
+    overflowed sum is ``inf``.
     """
-    return _block_residual(_blocks(a, b), min(a.size, _BLOCK), with_norm)
-
-
-def _product_residual(x, a, b):
-    """``_residual(x, a @ b, with_norm=True)`` without forming ``a @ b`` (``x.size`` entries)."""
-    blocks = zip(_slabs(x.ravel(), _BLOCK), _product_blocks(a, b))
-    return _block_residual(blocks, min(x.size, _BLOCK), with_norm=True)
-
-
-def _block_residual(pairs, size, with_norm):
-    """:func:`_residual` over the matching blocks ``pairs``, none longer than ``size``."""
-    buf = np.empty(size)
+    buf = np.empty(min(x.size, _BLOCK))
     sq = normsq = 0.0
     with np.errstate(over="ignore"):  # an overflow is the inf its callers test
-        for u, v in pairs:
+        for u, v in zip(_blocks(x), blocks):
             d = np.subtract(u, v, out=buf[: u.size])
             sq += float(np.dot(d, d))
             if with_norm:
@@ -189,7 +180,7 @@ def inner_product(a, b):
     """Frobenius inner product of two tensors of identical shape, summed over :func:`_blocks`."""
     a, b = _check_pair(a, b)
     total = 0.0
-    for u, v in _blocks(a, b):
+    for u, v in zip(_blocks(a), _blocks(b)):
         total += float(np.dot(u, v))
     return total
 
@@ -279,28 +270,6 @@ def unfold(x, mode):
     axis = mode - 1
     m = np.reshape(np.moveaxis(x, axis, 0), (x.shape[axis], -1), order="F")
     return np.ascontiguousarray(m)
-
-
-def fold(m, mode, dims):
-    """Inverse of :func:`unfold`: rebuild a tensor of shape ``dims``.
-
-    ``fold(unfold(x, mode), mode, x.shape)`` reproduces ``x`` bit for bit.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ShapeError(f"dims must be three positive integers, got {dims}")
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    axis = mode - 1
-    rest = [d for i, d in enumerate(dims) if i != axis]
-    if m.shape != (dims[axis], rest[0] * rest[1]):
-        raise ShapeError(
-            f"matrix shape {m.shape} does not match mode-{mode} unfolding of {dims}"
-        )
-    t = np.reshape(m, (dims[axis], rest[0], rest[1]), order="F")
-    return np.ascontiguousarray(np.moveaxis(t, 0, axis))
 
 
 def mode_product(x, mat, mode):

@@ -40,6 +40,25 @@ def outer3_loop(u, v, w):
     return out
 
 
+def fold(m, mode, dims):
+    """Inverse of ``tensor_core.unfold``: a tensor of shape ``dims``.
+
+    Entry ``x[i1, i2, i3]`` is row ``i_mode`` of the mode-``mode``
+    unfolding ``m``, in the column that counts the other two indices
+    with the lower-numbered mode fastest.
+    """
+    out = np.zeros(dims)
+    axis = mode - 1
+    n_low = [d for t, d in enumerate(dims) if t != axis][0]
+    for i in range(dims[0]):
+        for j in range(dims[1]):
+            for k in range(dims[2]):
+                idx = (i, j, k)
+                rest = [idx[t] for t in range(3) if t != axis]
+                out[i, j, k] = m[idx[axis]][rest[0] + n_low * rest[1]]
+    return out
+
+
 def mode_product_loop(x, mat, mode):
     dims = list(x.shape)
     axis = mode - 1

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import subprocess
 import sys
@@ -220,6 +221,19 @@ def test_no_fit_builds_an_unfolding(monkeypatch):
     baselines.cpd_decompose(x, 3, seed=0, max_iters=5)
 
 
+@pytest.mark.parametrize(
+    "used,public",
+    [(baselines._hooi, baselines.tucker_decompose), (baselines.cpd_study, baselines.cpd_decompose)],
+)
+def test_sweep_fits_take_the_public_fit_defaults(used, public):
+    # run_sweep calls _hooi and cpd_study with their own defaults, so its
+    # Tucker rows are tucker_decompose(x, k)'s and its cpd rows cost what a
+    # standalone cpd_decompose costs only while each pair agrees.
+    for name in ("max_iters", "tol"):
+        got = inspect.signature(used).parameters[name].default
+        assert got == inspect.signature(public).parameters[name].default, name
+
+
 class TestTuckerStreamedScore:
     @pytest.mark.parametrize("dims,r", STREAMED_CASES)
     def test_score_is_the_score_of_the_reconstruction(self, dims, r):
@@ -235,7 +249,7 @@ class TestTuckerStreamedScore:
         x = np.random.default_rng(44).random((5, 6, 7)) * 1e160
         model = baselines.tucker_decompose(x, 2, max_iters=2)
         xhat = baselines.tucker_reconstruct(model)
-        assert math.isinf(tc._residual(x, xhat)[0])
+        assert math.isinf(tc._residual(x, tc._blocks(xhat))[0])
         row = s3dsvd._score(x, model.core, model.factors, 2, "tucker")
         assert row == metrics.score(x, xhat, "tucker", 2)
 
@@ -569,7 +583,7 @@ class TestCpdOnTheCore:
         model = baselines.cpd_decompose(x, 2, 0, max_iters=3)
         huge = dataclasses.replace(model, weights=model.weights * 1e155)
         row = baselines._score_run(x, huge, 2, 0.5)
-        assert math.isinf(tc._residual(x, baselines.cpd_reconstruct(huge))[0])
+        assert math.isinf(tc._residual(x, tc._blocks(baselines.cpd_reconstruct(huge)))[0])
         assert row == metrics.score(x, baselines.cpd_reconstruct(huge), "cpd", 2, time_s=0.5)
         assert math.isfinite(row["psnr_db"]) and row["rel_err"] > 1e150
 

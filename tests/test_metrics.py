@@ -286,8 +286,8 @@ class TestBlockedResidual:
         rng = np.random.default_rng(sum(shape))
         x = scale * rng.random(shape)
         xhat = x + scale * rng.normal(scale=1e-3, size=shape)
-        want = metrics._norm(x, xhat, tensor_core._residual(x, xhat)[0]) / (
-            tensor_core.frobenius_norm(x))
+        sq = tensor_core._residual(x, tensor_core._blocks(xhat))[0]
+        want = metrics._norm(x, xhat, sq) / tensor_core.frobenius_norm(x)
         assert metrics.rel_err(x, xhat) == want
         assert metrics.score(x, xhat, "recon", 0)["rel_err"] == want
 

