@@ -31,13 +31,14 @@ Two baselines are provided for comparison against the structured 3D SVD:
   the second term from the Gram identity, so it builds no unfolding,
   Khatri-Rao matrix or reconstruction.
 
-``cpd_study`` compresses once, runs the ALS fit once per seed on that
-core and aggregates each metric into a mean and a Student-t 95%
-confidence half-width, optionally fanning the runs out over a thread
-pool; serial and threaded execution produce identical numbers.  Each
-run's ``time_s`` is the whole compression plus its own ALS, the cost of
-a standalone ``cpd_decompose``, and each run is scored without forming
-its reconstruction.
+``cpd_study`` compresses once, from per-mode factors a sweep shares among
+its methods, runs the ALS fit once per seed on that core and aggregates
+each metric into a mean and a Student-t 95% confidence half-width,
+optionally fanning the runs out over a thread pool; serial and threaded
+execution produce identical numbers.  Each run's ``time_s`` is the whole
+compression, factors included, plus its own ALS, the cost of a
+standalone ``cpd_decompose``, and each run is scored without forming its
+reconstruction.
 """
 
 import contextvars
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import metrics
 from .errors import DegenerateInputError, NumericError
-from .s3dsvd import _relerr, contract, decompose, expand
+from .s3dsvd import _bases, _relerr, _truncate, decompose, expand
 from .tensor_core import (
     _check_finite_quiet,
     _check_level,
@@ -152,37 +153,21 @@ def tucker_decompose(x, k, max_iters=50, tol=1e-6):
     (Kolda & Bader, SIAM Review 2009, section 4.2).
     """
     x = as_tensor3(x)
-    hosvd = decompose(x, k)
-    return _hooi(x, hosvd, hosvd.rank, max_iters, tol)
+    return _hooi(x, decompose(x, k), max_iters, tol)
 
 
-def _hooi(x, hosvd, k, max_iters=50, tol=1e-6):
-    """HOOI at rank ``k`` from the leading ``k`` columns of the HOSVD ``hosvd``.
+def _hooi(x, hosvd, max_iters=50, tol=1e-6):
+    """HOOI at rank ``k = hosvd.rank`` on the float64 volume ``x``, from the HOSVD ``hosvd``.
 
-    :func:`mode_factor` keeps the leading columns of one full SVD, so for
-    any ``hosvd = decompose(x, r)`` with ``r >= k`` those columns are
-    ``decompose(x, k)``'s factors.  Below ``r`` the core is contracted
-    afresh from them, never sliced from ``hosvd.core``, so the fit equals
-    ``tucker_decompose(x, k)`` bit for bit.
-
-    Every core is the projection of ``x`` onto the sweep's orthonormal
-    factors, so each ``fit_history`` value is
-    :func:`volrank.s3dsvd._relerr`: ``sqrt((1 - rho) * (1 + rho))`` with
-    ``rho = ||core|| / ||x||`` (Kolda & Bader, SIAM Review 2009, section
-    4.2), which forms no n^3 reconstruction.  That form is off by about
-    1e-15 divided by the relative error, so below a relative error of 1e-2
-    the residual ``x - expand(core, factors, k)`` is formed and measured
-    instead, and a near-exact fit keeps every digit of its history.  Above
-    it the error is some 1e8 times smaller than ``tol``, so the stopping
-    rule, and with it every factor and core, is the direct residual's
-    unless a gain lies that close to ``tol``.
+    ``hosvd`` is ``decompose(x, k)``, or its equal cut from the volume's
+    :func:`volrank.s3dsvd._bases` in a sweep, so the fit is
+    ``tucker_decompose(x, k)``'s bit for bit.  Each ``fit_history`` value
+    is :func:`volrank.s3dsvd._relerr` of the sweep's core, which forms no
+    n^3 reconstruction above a relative error of 1e-2 and stays within
+    about 1e-14 of the direct residual's there, so the stopping rule is
+    the direct residual's unless a gain lies that close to ``tol``.
     """
-    x = as_tensor3(x)
-    if k == hosvd.rank:
-        factors, core = hosvd.factors, hosvd.core
-    else:
-        factors = tuple(u[:, :k].copy() for u in hosvd.factors)
-        core = contract(x, factors)
+    k, factors, core = hosvd.rank, hosvd.factors, hosvd.core
     normx = frobenius_norm(x)
     history = [_relerr(x, normx, core, factors, k)]
     for _ in range(max_iters):
@@ -293,12 +278,12 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     x = as_tensor3(x)
     k = _check_level(k, min(x.shape), "rank")
     seed = _check_seed(seed)
-    return _cpd_als(*_compress(x, k), k, seed, max_iters, tol)
+    return _cpd_als(*_compress(x, _bases(x), k), k, seed, max_iters, tol)
 
 
-def _compress(x, k):
-    """The s3dsvd model whose core a rank-``k`` ALS fits, and ``||x||``."""
-    return decompose(x, min(2 * k, min(x.shape))), frobenius_norm(x)
+def _compress(x, bases, k):
+    """The s3dsvd model whose core a rank-``k`` ALS fits, cut from ``_bases(x)``, and ``||x||``."""
+    return _truncate(x, bases, min(2 * k, min(x.shape))), frobenius_norm(x)
 
 
 def _cpd_als(hosvd, normx, k, seed, max_iters, tol):
@@ -458,14 +443,14 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     """Run one CPD fit per seed and aggregate the metrics.
 
     ``x`` is compressed once, as :func:`cpd_decompose` compresses it, and
-    every seed's ALS fits that one core.  Each run's ``time_s`` is the
-    whole compression time plus its own ALS time, which is what a
-    standalone :func:`cpd_decompose` costs, and its row is
+    every seed's ALS fits that one core; a sweep hands :func:`_study` the
+    per-mode factors it shares among its methods.  Each run's ``time_s`` is
+    the whole compression time, factors included, plus its own ALS time,
+    what a standalone :func:`cpd_decompose` costs, and its row is
     :func:`_score_run`'s, the score of its reconstruction bit for bit
-    without that volume.  Each metric gets its sample
-    mean and 95% Student-t half-width; the quantile
-    ``_t975(len(seeds) - 1)`` is computed once, in the package, and shared
-    by all four.
+    without that volume.  Each metric gets its sample mean and 95%
+    Student-t half-width; the quantile ``_t975(len(seeds) - 1)`` is
+    computed once, in the package, and shared by all four.
 
     ``threads`` > 1 distributes the independent runs over a thread pool;
     results are identical to serial execution apart from wall-clock
@@ -477,8 +462,15 @@ def cpd_study(x, k, seeds, max_iters=300, tol=1e-6, threads=None):
     k = _check_level(k, min(x.shape), "rank")
     seeds = _check_seeds(seeds)
     start = time.perf_counter()
-    hosvd, normx = _compress(x, k)
-    compress_s = time.perf_counter() - start
+    bases = _bases(x)
+    return _study(x, bases, time.perf_counter() - start, k, seeds, max_iters, tol, threads)
+
+
+def _study(x, bases, bases_s, k, seeds, max_iters=300, tol=1e-6, threads=None):
+    """:func:`cpd_study`'s fits, from ``bases = _bases(x)``, which took ``bases_s`` to compute."""
+    start = time.perf_counter()
+    hosvd, normx = _compress(x, bases, k)
+    compress_s = bases_s + (time.perf_counter() - start)
 
     def fit(seed):
         # Relabel numeric failures only; a bug such as a TypeError propagates.

@@ -32,7 +32,7 @@ import numpy as np
 from . import baselines, metrics, s3dsvd, volume_io
 from .baselines import CpModel, TuckerModel
 from .errors import DegenerateInputError, NumericError, ParseError
-from .tensor_core import _check_level
+from .tensor_core import _check_level, as_tensor3
 
 __all__ = ["SweepResult", "entry_point", "main", "run_sweep"]
 
@@ -120,23 +120,21 @@ def _check_sweep(methods, ks, seeds):
 def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
     """Benchmark ``methods`` at every k in ``ks`` against volume ``x``.
 
-    Every row's time is fit time only.  Before any fit, :func:`_check_sweep`
-    refuses empty, unknown or repeated methods, ks that are empty, below 1
-    or not strictly increasing, and seeds that
-    :func:`volrank.baselines.cpd_study` would refuse, whatever the methods;
-    a cpd-only sweep's ``max(ks)`` is checked as ``cpd_study`` checks its
-    rank.  s3dsvd and tucker share one
-    ``decompose(x, max(ks))``, computed before any row, so a level beyond
-    the volume fails before any method is fitted.  s3dsvd truncates it
-    per k, charging each row an equal share of its time.  Each tucker k
-    starts HOOI from its leading k factor columns, which are
-    ``decompose(x, k)``'s, and is charged the whole decompose time plus
-    its own HOOI time: what a standalone ``tucker_decompose`` costs.  cpd
-    refits per k, each row aggregating one run per seed, with ``threads``
-    capping study parallelism; each run is charged its study's whole
-    compression plus its own ALS time, again a standalone fit's cost.
-    The stderr line of a cpd row gives each unconverged seed's sweep count
-    and the relative error of its reconstruction.
+    Every fit and score sees ``as_tensor3(x)``, and every row's time is
+    fit time only.  Before any fit, :func:`_check_sweep` refuses empty,
+    unknown or repeated methods, ks that are empty, below 1 or not
+    strictly increasing, and seeds that :func:`volrank.baselines.cpd_study`
+    would refuse, whatever the methods, and ``max(ks)`` must be at most
+    ``min(x.shape)``.  One ``s3dsvd._bases(x)`` then serves every method,
+    and each fit is charged its time, as a standalone fit would be.
+    s3dsvd cuts ``decompose(x, max(ks))`` from it and truncates that per k,
+    charging each row an equal share.  Each tucker k starts HOOI from
+    ``decompose(x, k)``, also cut from it (s3dsvd's model at ``max(ks)``),
+    and is charged that decompose plus its HOOI time.  cpd refits per k,
+    each row aggregating one run per seed, with ``threads`` capping study
+    parallelism; each run is charged its study's whole compression plus
+    its own ALS time.  The stderr line of a cpd row gives each unconverged
+    seed's sweep count and the relative error of its reconstruction.
     """
 
     def say(message):
@@ -144,13 +142,15 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
             print(message, file=log)
 
     seeds = _check_sweep(methods, ks, seeds)
+    x = as_tensor3(x)
+    _check_level(max(ks), min(x.shape), "k")
+    start = time.perf_counter()
+    bases = s3dsvd._bases(x)
+    bases_s = time.perf_counter() - start
     rows = []
     if "s3dsvd" in methods or "tucker" in methods:
-        start = time.perf_counter()
-        hosvd = s3dsvd.decompose(x, max(ks))
-        hosvd_s = time.perf_counter() - start
-    elif "cpd" in methods:
-        _check_level(max(ks), min(np.shape(x)), "rank")
+        hosvd = s3dsvd._truncate(x, bases, max(ks))
+        hosvd_s = time.perf_counter() - start  # the bases' time included
     # s3dsvd and tucker rows are scored from slabs of their expansion, so
     # no row forms a reconstruction unless its squared residual overflows.
     for method in methods:
@@ -167,15 +167,16 @@ def run_sweep(x, methods, ks, seeds=DEFAULT_SEEDS, threads=1, log=None):
         elif method == "tucker":
             for k in ks:
                 start = time.perf_counter()
-                model = baselines._hooi(x, hosvd, k)
-                elapsed = hosvd_s + (time.perf_counter() - start)
+                fit = hosvd if k == hosvd.rank else s3dsvd._truncate(x, bases, k)
+                model = baselines._hooi(x, fit)
+                elapsed = (hosvd_s if fit is hosvd else bases_s) + (time.perf_counter() - start)
                 rows.append(
                     s3dsvd._score(x, model.core, model.factors, k, "tucker", time_s=elapsed)
                 )
                 say(f"sweep method=tucker k={k} done")
         else:
             for k in ks:
-                study = baselines.cpd_study(x, k, seeds, threads=threads)
+                study = baselines._study(x, bases, bases_s, k, seeds, threads=threads)
                 ci = {_CI_COLUMNS[m]: h for m, h in study.ci_halfwidth.items()}
                 rows.append({"method": "cpd", "k": k, **study.mean, "per": None, **ci})
                 stuck = [

@@ -8,11 +8,11 @@ That QR is a blocked TSQR over row blocks of at least 1,024 rows, fixed
 by the shape alone (Demmel, Grigori, Hoemmen & Langou, SISC 34(1),
 2012), each block a LAPACK ``dgeqrt`` from numpy's bundled OpenBLAS, or
 ``np.linalg.qr`` without that library; it and the SVD run on one
-OpenBLAS thread, so a model's bytes do not depend on the thread count.  The input is contracted against the
-factors to obtain an ``r x r x r`` core ``g``, and the signed core
-diagonal ``qsigma[i] = g[i, i, i]`` is read in index order (no
-re-sorting; magnitudes are usually but not always
-non-increasing, see :func:`ordering_report`).
+OpenBLAS thread, so a model's bytes do not depend on the thread count.
+The input is contracted against the factors to obtain an ``r x r x r``
+core ``g``, and the signed core diagonal ``qsigma[i] = g[i, i, i]`` is
+read in index order (no re-sorting; magnitudes are usually but not
+always non-increasing, see :func:`ordering_report`).
 
 Truncated reconstruction at level ``k`` uses the leading ``k`` columns of
 each factor and the leading ``k x k x k`` core block; the diagonal
@@ -96,8 +96,20 @@ def decompose(x, r):
     """
     x = as_tensor3(x)
     r = _check_level(r, min(x.shape), "r")
+    # Cut before the contraction, so the bases are freed first: held through
+    # it, they left glibc's heap about 4 MB larger for later volume-sized work.
+    return _truncate(x, [u[:, :r].copy() for u in _bases(x)], r)
+
+
+def _bases(x):
+    """``mode_factor(x, m, min(x.shape))`` per mode; each rank's factors are their prefixes."""
     _check_finite(x, "input tensor")
-    factors = tuple(mode_factor(x, mode, r) for mode in (1, 2, 3))
+    return tuple(mode_factor(x, mode, min(x.shape)) for mode in (1, 2, 3))
+
+
+def _truncate(x, bases, r):
+    """``decompose(x, r)`` from ``bases``, at least the leading ``r`` columns of ``_bases(x)``."""
+    factors = tuple(u[:, :r].copy() for u in bases)
     return S3dModel(dims=x.shape, rank=r, factors=factors, core=contract(x, factors))
 
 

@@ -223,10 +223,11 @@ def test_no_fit_builds_an_unfolding(monkeypatch):
 
 @pytest.mark.parametrize(
     "used,public",
-    [(baselines._hooi, baselines.tucker_decompose), (baselines.cpd_study, baselines.cpd_decompose)],
+    [(baselines._hooi, baselines.tucker_decompose), (baselines.cpd_study, baselines.cpd_decompose),
+     (baselines._study, baselines.cpd_decompose)],
 )
 def test_sweep_fits_take_the_public_fit_defaults(used, public):
-    # run_sweep calls _hooi and cpd_study with their own defaults, so its
+    # run_sweep calls _hooi and _study with their own defaults, so its
     # Tucker rows are tucker_decompose(x, k)'s and its cpd rows cost what a
     # standalone cpd_decompose costs only while each pair agrees.
     for name in ("max_iters", "tol"):
@@ -543,15 +544,21 @@ class TestCpdOnTheCore:
     @pytest.mark.parametrize("threads", [None, 2])
     def test_study_compresses_once_and_charges_every_run(self, monkeypatch, threads):
         x = np.random.default_rng(32).random((8, 9, 10))
-        decompose, ranks = s3dsvd.decompose, []
+        find, cut, bases, ranks = s3dsvd._bases, s3dsvd._truncate, [], []
 
-        def slow(x, r):
-            ranks.append(r)
+        def slow(x):
+            bases.append(x.shape)
             time.sleep(0.2)
-            return decompose(x, r)
+            return find(x)
 
-        monkeypatch.setattr(baselines, "decompose", slow)
+        def counted_cut(x, b, r):
+            ranks.append(r)
+            return cut(x, b, r)
+
+        monkeypatch.setattr(baselines, "_bases", slow)
+        monkeypatch.setattr(baselines, "_truncate", counted_cut)
         study = baselines.cpd_study(x, 3, seeds=[0, 1, 2], max_iters=5, threads=threads)
+        assert bases == [x.shape]
         assert ranks == [6]
         assert all(row["time_s"] >= 0.2 for _, row in study.runs)
         assert [len(h) for h in study.fit_histories] == [5, 5, 5]
@@ -786,7 +793,7 @@ class TestCpdStudy:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted")
 
-        monkeypatch.setattr(baselines, "decompose", no_fit)
+        monkeypatch.setattr(baselines, "_bases", no_fit)
         with pytest.raises(ValueError, match="^seeds must be distinct, got 4, 4$"):
             baselines.cpd_study(np.ones((3, 3, 3)), 1, seeds=[4, 4])
 

@@ -24,6 +24,9 @@ def forbid_fits(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a model was fitted")
 
+    # A sweep fits from s3dsvd._bases, a standalone fit through decompose.
+    for module in (s3dsvd, baselines):
+        monkeypatch.setattr(module, "_bases", no_fit)
     monkeypatch.setattr(s3dsvd, "decompose", no_fit)
     monkeypatch.setattr(baselines, "decompose", no_fit)
     monkeypatch.setattr(baselines, "cpd_decompose", no_fit)
@@ -442,14 +445,14 @@ class TestSweep:
         assert len(rows) == 3 and len(times) == 1
 
     def test_tucker_rows_equal_standalone_fits(self, blob_volume, monkeypatch):
-        # Every k starts HOOI from the one decompose at max(ks).
+        # Every k starts HOOI from decompose(x, k), cut from the one set of bases.
         x = volume_io.read_volume(blob_volume)
         fitted = {}
         hooi = baselines._hooi
 
-        def record(x, hosvd, k, *args, **kwargs):
-            fitted[k] = hooi(x, hosvd, k, *args, **kwargs)
-            return fitted[k]
+        def record(x, hosvd, *args, **kwargs):
+            fitted[hosvd.rank] = hooi(x, hosvd, *args, **kwargs)
+            return fitted[hosvd.rank]
 
         monkeypatch.setattr(baselines, "_hooi", record)
         cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 3, 5])
@@ -470,8 +473,8 @@ class TestSweep:
         hosvd = s3dsvd.decompose(x, max(ks))
         want = [metrics.score(x, s3dsvd.reconstruct(hosvd, k), "s3dsvd", k, metrics.per(hosvd, k))
                 for k in ks]
-        want += [metrics.score(x, baselines.tucker_reconstruct(baselines._hooi(x, hosvd, k)),
-                               "tucker", k) for k in ks]
+        want += [metrics.score(x, baselines.tucker_reconstruct(
+                     baselines._hooi(x, s3dsvd.decompose(x, k))), "tucker", k) for k in ks]
 
         def forbidden(*args):
             raise AssertionError("the sweep formed a reconstruction")
@@ -480,6 +483,35 @@ class TestSweep:
         monkeypatch.setattr(baselines, "tucker_reconstruct", forbidden)
         rows = cli.run_sweep(x, ["s3dsvd", "tucker"], ks).rows
         assert [{**row, "time_s": None} for row in rows] == want
+
+    def test_rows_are_those_of_the_float64_volume(self):
+        # Every row is scored against as_tensor3(x), the volume each fit sees.
+        x = volume_io.gen_synthetic("blobs_noisy", (12, 13, 14), seed=1)
+        x32 = x.astype(np.float32)
+
+        def untimed(volume):
+            rows = cli.run_sweep(volume, ["s3dsvd", "tucker", "cpd"], [3], seeds=(0, 1)).rows
+            return [{**row, "time_s": None, "time_ci": None} for row in rows]
+
+        assert untimed(x.tolist()) == untimed(x)
+        assert untimed(x32) == untimed(x32.astype(np.float64))
+
+    def test_cpd_rows_are_standalone_studies_in_any_method_order(self, blob_volume):
+        x = volume_io.read_volume(blob_volume)
+        ks, seeds = [2, 3, 5], (0, 1, 2)
+
+        def untimed(methods):
+            rows = cli.run_sweep(x, methods, ks, seeds=seeds).rows
+            return {(row["method"], row["k"]): {**row, "time_s": None, "time_ci": None}
+                    for row in rows}
+
+        rows = untimed(["s3dsvd", "tucker", "cpd"])
+        assert rows == untimed(["cpd", "tucker", "s3dsvd"])
+        for k in ks:
+            study = baselines.cpd_study(x, k, seeds)
+            for key in ("psnr_db", "mse", "rel_err"):
+                assert rows["cpd", k][key] == study.mean[key]
+                assert rows["cpd", k][cli._CI_COLUMNS[key]] == study.ci_halfwidth[key]
 
     def test_sweep_allocates_less_than_a_volume_beyond_x(self):
         # x is allocated before tracing starts, so the peak is the sweep's own.
@@ -492,39 +524,46 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < x.nbytes
 
-    # s3dsvd and tucker share one decompose(x, max(ks)); each cpd study
-    # compresses once, at min(2k, min(x.shape)), for all its seeds.
+    # Every method slices one _bases(x): s3dsvd and tucker share its cut at
+    # max(ks), tucker cuts each lower k, and each cpd study cuts its
+    # compression once, at min(2k, min(x.shape)), for all its seeds.
     @pytest.mark.parametrize(
         "methods, want",
-        [(["s3dsvd", "tucker"], [4]), (["tucker"], [4]), (["tucker", "cpd", "s3dsvd"], [4, 4, 8]),
-         (["cpd"], [4, 8])],
+        [(["s3dsvd", "tucker"], [4, 2]), (["tucker"], [4, 2]),
+         (["tucker", "cpd", "s3dsvd"], [4, 2, 4, 8]), (["cpd"], [4, 8])],
     )
     def test_one_shared_decompose_and_one_per_cpd_study(self, blob_volume, monkeypatch,
                                                         methods, want):
         x = volume_io.read_volume(blob_volume)
-        ranks = []
-        decompose = s3dsvd.decompose
+        bases, ranks = [], []
+        find, cut = s3dsvd._bases, s3dsvd._truncate
 
-        def counted(x, r):
+        def counted_bases(x):
+            bases.append(x.shape)
+            return find(x)
+
+        def counted_cut(x, b, r):
             ranks.append(r)
-            return decompose(x, r)
+            return cut(x, b, r)
 
-        monkeypatch.setattr(s3dsvd, "decompose", counted)
-        monkeypatch.setattr(baselines, "decompose", counted)
+        for module in (s3dsvd, baselines):
+            monkeypatch.setattr(module, "_bases", counted_bases)
+            monkeypatch.setattr(module, "_truncate", counted_cut)
         rows = cli.run_sweep(x, methods, [2, 4], seeds=(0, 1)).rows
         assert len(rows) == 2 * len(methods)
+        assert bases == [x.shape]
         assert ranks == want
 
     def test_tucker_rows_carry_the_whole_decompose(self, blob_volume, monkeypatch):
-        # A slow decompose makes its share of each row plain to see.
+        # Slow bases make their share of each row plain to see.
         x = volume_io.read_volume(blob_volume)
-        decompose = s3dsvd.decompose
+        find = s3dsvd._bases
 
-        def slow(x, r):
+        def slow(x):
             time.sleep(0.2)
-            return decompose(x, r)
+            return find(x)
 
-        monkeypatch.setattr(s3dsvd, "decompose", slow)
+        monkeypatch.setattr(s3dsvd, "_bases", slow)
         rows = cli.run_sweep(x, ["s3dsvd", "tucker"], [2, 4, 6]).rows
         decompose_s = sum(row["time_s"] for row in rows if row["method"] == "s3dsvd")
         tucker = [row["time_s"] for row in rows if row["method"] == "tucker"]
@@ -543,7 +582,8 @@ class TestSweep:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    # The shared decompose runs before any row, so cpd listed first fits nothing.
+    # max(ks) is checked before any row, so cpd listed first fits nothing,
+    # and every method list gets the one message.
     @pytest.mark.parametrize("methods", ["s3dsvd,tucker", "tucker", "cpd,s3dsvd"])
     def test_max_ks_beyond_volume_exits_2(self, blob_volume, tmp_path, capsys,
                                          methods):
@@ -551,11 +591,11 @@ class TestSweep:
         assert run_cli("sweep", "--input", blob_volume, "--method", methods,
                        "--ks", "2,13", "--csv", out) == 2
         assert capsys.readouterr().err == (
-            "volrank: error: ValueError: r must satisfy 1 <= r <= 12, got 13\n"
+            "volrank: error: ValueError: k must satisfy 1 <= k <= 12, got 13\n"
         )
         assert not out.exists()
 
-    # cpd_study's seed rule, and for a cpd-only sweep its rank rule, run
+    # cpd_study's seed rule, and for a cpd-only sweep the max(ks) rule, run
     # before any method is fitted.
     @pytest.mark.parametrize(
         "methods,ks,seeds,message",
@@ -563,7 +603,7 @@ class TestSweep:
             ("s3dsvd,tucker,cpd", "2,4", "0,18446744073709551616",
              "seed must satisfy 0 <= seed <= 18446744073709551615,"
              " got 18446744073709551616"),
-            ("cpd", "2,100", "0,1", "rank must satisfy 1 <= rank <= 12, got 100"),
+            ("cpd", "2,100", "0,1", "k must satisfy 1 <= k <= 12, got 100"),
         ],
         ids=["seed-beyond-u64", "cpd-rank-beyond-volume"],
     )
@@ -580,13 +620,13 @@ class TestSweep:
         # Library callers reach run_sweep without the CLI's --seeds parsing.
         x = volume_io.read_volume(blob_volume)
         calls = []
-        decompose = s3dsvd.decompose
+        find = s3dsvd._bases
 
-        def counted(x, r):
-            calls.append(r)
-            return decompose(x, r)
+        def counted(x):
+            calls.append(x.shape)
+            return find(x)
 
-        monkeypatch.setattr(s3dsvd, "decompose", counted)
+        monkeypatch.setattr(s3dsvd, "_bases", counted)
         log = io.StringIO()
         with pytest.raises(ValueError, match="seeds must be a non-empty sequence"):
             cli.run_sweep(x, ["s3dsvd", "tucker", "cpd"], [2, 4], seeds=(), log=log)

@@ -146,6 +146,20 @@ class TestReconstruct:
                 other = s3dsvd.reconstruct(s3dsvd.decompose(x, r), k)
                 assert np.max(np.abs(other - base)) < 1e-12
 
+    # Wide unfoldings go through the TSQR, a tall one (p q <= n) straight to
+    # the SVD, mode 2 copies its blocks, and a length-1 mode allows r = 1 only.
+    @pytest.mark.parametrize("dims", [(12, 13, 14), (40, 2, 3), (6, 7, 8), (5, 1, 4)])
+    def test_factors_are_prefixes_of_the_bases(self, dims):
+        x = np.random.default_rng(11).standard_normal(dims)
+        bases = s3dsvd._bases(x)
+        for r in range(1, min(dims) + 1):
+            model = s3dsvd.decompose(x, r)
+            own = tuple(tc.mode_factor(x, mode, r) for mode in (1, 2, 3))
+            for got, base, alone in zip(model.factors, bases, own):
+                assert np.array_equal(got, base[:, :r])
+                assert np.array_equal(got, alone)
+            assert np.array_equal(model.core, s3dsvd.contract(x, own))
+
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((6, 7, 8))
