@@ -19,6 +19,7 @@ from .tensor_core import (
     _blocks,
     _check_level,
     _check_pair,
+    _normal,
     _product_blocks,
     _residual,
     frobenius_norm,
@@ -38,26 +39,28 @@ def mse(x, xhat):
     """Mean squared difference between ``x`` and ``xhat``.
 
     ``inf`` where the squared residual overflows float64, as it does for
-    residuals above about 1e154.
+    residuals above about 1e154, and 0.0 where the mean is below the
+    smallest double.
     """
     x, xhat = _check_pair(x, xhat)
     return _residual(x, _blocks(xhat))[0] / x.size
 
 
 def _norm(x, xhat, sq):
-    """``||x - xhat||`` given its square ``sq``; only an overflowed ``sq`` forms ``x - xhat``."""
-    return math.sqrt(sq) if sq < math.inf else frobenius_norm(x - xhat)
+    """``||x - xhat||`` given its square ``sq``; only an ``sq`` that is not normal forms ``x - xhat``."""
+    return math.sqrt(sq) if _normal(sq) else frobenius_norm(x - xhat)
 
 
 def psnr(x, xhat):
     """Peak signal-to-noise ratio in dB, with peak taken from ``x``.
 
     ``10 * log10(max(x)**2 / mse)``; an exact reconstruction yields
-    ``math.inf``.  Where ``max(x)**2`` or the mse overflows float64, both
-    are rescaled by the largest residual magnitude, as
-    :func:`volrank.tensor_core.frobenius_norm` does.  A non-positive peak
-    leaves the ratio meaningless, and a ratio beyond float64 leaves it
-    infinite or zero.
+    ``math.inf``.  Where ``max(x)**2`` or the mse overflows float64, or
+    falls below its least normal value, both are rescaled by the largest
+    residual magnitude, as :func:`volrank.tensor_core.frobenius_norm` does,
+    so a residual whose squares underflow to 0.0 is not taken for exact.
+    A non-positive peak leaves the ratio meaningless, and a ratio beyond
+    float64 leaves it infinite or zero.
     """
     x, xhat = _check_pair(x, xhat)
     return _psnr(x, xhat, _residual(x, _blocks(xhat))[0])
@@ -70,13 +73,15 @@ def _psnr(x, xhat, sq):
         raise DegenerateInputError(
             f"psnr needs a positive peak in the reference volume, got max={peak}"
         )
-    if sq == 0.0:
-        return math.inf
     err = sq / x.size
-    ratio = peak * peak / err
-    if math.isinf(peak * peak) or math.isinf(err):
-        # A square overflowed, not necessarily the ratio.
-        q = peak / _norm(x, xhat, sq)
+    if _normal(peak * peak) and _normal(err):
+        ratio = peak * peak / err
+    else:
+        # A square overflowed or underflowed, not necessarily the ratio.
+        norm = _norm(x, xhat, sq)
+        if norm == 0.0:
+            return math.inf
+        q = peak / norm
         ratio = x.size * q * q
     if not 0.0 < ratio < math.inf:
         raise NumericError(f"psnr is undefined for peak {peak} and mse {err}")
@@ -91,7 +96,7 @@ def rel_err(x, xhat):
 
 def _rel_err(x, xhat, sq, normsq):
     """``||x - xhat|| / ||x||`` given their squares ``sq`` and ``normsq``; a zero ``x`` raises."""
-    normx = math.sqrt(normsq) if normsq < math.inf else frobenius_norm(x)
+    normx = math.sqrt(normsq) if _normal(normsq) else frobenius_norm(x)
     if normx == 0.0:
         raise DegenerateInputError("rel_err is undefined for a zero reference")
     return _norm(x, xhat, sq) / normx
@@ -116,17 +121,17 @@ def _product_score(x, a, b, method, k, per=None, time_s=None):
 
     The residual is summed from slabs of rows of ``a``
     (:func:`volrank.tensor_core._product_blocks`), so the product is
-    formed only if the squared residual overflows.
+    formed only if the squared residual is not normal.
     """
     sq, normsq = _residual(x, _product_blocks(a, b), with_norm=True)
-    xhat = (a @ b).reshape(x.shape) if sq == math.inf else None
+    xhat = None if _normal(sq) else (a @ b).reshape(x.shape)
     return _row(x, xhat, sq, normsq, method, k, per, time_s)
 
 
 def _row(x, xhat, sq, normsq, method, k, per=None, time_s=None):
     """:func:`score`'s row from ``sq = ||x - xhat||**2`` and ``normsq = ||x||**2``.
 
-    ``xhat`` is read only where ``sq`` overflowed.
+    ``xhat`` is read only where ``sq`` is not normal.
     """
     return {
         "method": method,
@@ -140,9 +145,19 @@ def _row(x, xhat, sq, normsq, method, k, per=None, time_s=None):
 
 
 def _qsigma_cumulative(model):
-    """Cumulative squared-qsigma energy; sequential so partials are monotone."""
-    energy = np.cumsum(model.qsigma**2)
+    """Cumulative squared-qsigma energy; sequential so partials are monotone.
+
+    Where the total is not normal, the qsigma are first divided by the
+    largest magnitude, which leaves every ratio of partials to total.
+    """
+    with np.errstate(over="ignore"):  # an overflow is the total tested below
+        energy = np.cumsum(model.qsigma**2)
     total = float(energy[-1])
+    if not _normal(total):
+        scale = float(np.max(np.abs(model.qsigma)))
+        if 0.0 < scale < math.inf:
+            energy = np.cumsum((model.qsigma / scale) ** 2)
+            total = float(energy[-1])
     if total == 0.0:
         raise DegenerateInputError("per is undefined when all qsigma are zero")
     return energy, total

@@ -58,6 +58,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 import threading
 
 import numpy as np
@@ -185,13 +186,23 @@ def inner_product(a, b):
     return total
 
 
+def _normal(total):
+    """Whether a sum of squares ``total`` is finite and no smaller than the least normal double.
+
+    Outside that range the sum has overflowed, or its squares have lost
+    digits to underflow (a nonzero volume can sum to 0.0), so its callers
+    rescale by the largest magnitude; inside it no caller changes a bit.
+    """
+    return sys.float_info.min <= total < math.inf
+
+
 def frobenius_norm(a):
-    """Frobenius norm ``sqrt(inner_product(a, a))``, rescaled if that overflows."""
+    """Frobenius norm ``sqrt(inner_product(a, a))``, rescaled if that sum is not :func:`_normal`."""
     with np.errstate(over="ignore"):  # an overflow is the inf tested below
         sq = inner_product(a, a)
-    if sq == math.inf:
+    if not _normal(sq):
         scale = float(np.max(np.abs(a)))
-        if scale < math.inf:
+        if 0.0 < scale < math.inf:
             return scale * frobenius_norm(np.divide(a, scale))
     return math.sqrt(sq)
 

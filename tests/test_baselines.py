@@ -206,6 +206,15 @@ class TestHooiFitHistory:
         assert all(math.isfinite(e) for e in huge)
         assert max(abs(a - b) for a, b in zip(huge, plain)) < 1e-13
 
+    def test_underflowing_energy_keeps_the_sweeps_of_the_unscaled_fit(self):
+        # At 2**-600 every square is below the least double, so ||x|| once
+        # read 0.0 and HOOI stopped at once with fit_history (0.0, 0.0).
+        x = volume_io.gen_synthetic("blobs_noisy", (20, 24, 28), seed=3)
+        plain = baselines.tucker_decompose(x, 6).fit_history
+        tiny = baselines.tucker_decompose(x * 2.0**-600, 6).fit_history
+        assert len(plain) == len(tiny) == 6
+        assert tiny == pytest.approx(plain, rel=1e-12, abs=0.0)
+
 
 def test_no_fit_builds_an_unfolding(monkeypatch):
     def forbidden(*args, **kwargs):

@@ -1,8 +1,10 @@
 import csv
+import gc
 import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -901,10 +903,44 @@ class TestErrorSurface:
                        "--output", tmp_path / "no_such_dir" / "x.s3dv") == 5
 
     def test_entry_point_exits_with_mains_code(self, monkeypatch):
+        # A real freeze would also move pytest's objects out of collection.
+        monkeypatch.setattr(gc, "freeze", lambda: None)
         monkeypatch.setattr(sys, "argv", ["volrank", "sweep", "--ks", "2"])
         with pytest.raises(SystemExit) as exc:
             cli.entry_point()
         assert exc.value.code == 2
+
+    def test_entry_point_freezes_once_after_main_returns(self, monkeypatch, tmp_path):
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        main = cli.main
+
+        def recorded():
+            code = main(["gen", "--kind", "blobs", "--dims", "4,4,4",
+                         "--output", str(tmp_path / "x.s3dv")])
+            events.append(f"main returned {code}")
+            return code
+
+        monkeypatch.setattr(cli, "main", recorded)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == 0
+        assert events == ["main returned 0", "freeze"]
+
+    def test_main_never_freezes(self, monkeypatch, blob_volume, tmp_path):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        model = tmp_path / "m.s3dm"
+        codes = [
+            run_cli("decompose", "--input", blob_volume, "--method", "s3dsvd",
+                    "--rank", "3", "--output", model),
+            run_cli("reconstruct", "--input", model, "--k", "2",
+                    "--output", tmp_path / "r.s3dv"),
+            run_cli("metrics", "--input", blob_volume, "--model", model, "--k", "2"),
+            run_cli("sweep", "--ks", "2"),
+        ]
+        assert codes == [0, 0, 0, 2]
+        assert frozen == []
 
     def test_module_run_with_bad_arguments_exits_2(self):
         result = _cli_subprocess(["sweep", "--ks", "2"])
@@ -998,6 +1034,82 @@ def _cli_subprocess(args, threads="1"):
     )
 
 
+def _module_cases():
+    """``pytest.param(argv, exit code)`` of every subcommand and every failing exit code.
+
+    ``{in}`` stands for the directory of :func:`module_inputs`; outputs are
+    relative, so each run writes them into its own working directory.
+    """
+    vol, model = "{in}/vol.s3dv", "{in}/model.s3dm"
+    cases = [("gen", 0, ["gen", "--kind", "blobs_noisy", "--dims", "6,7,8", "--seed", "2",
+                         "--output", "g.s3dv"])]
+    cases += [
+        (f"decompose {method}", 0, ["decompose", "--input", vol, "--method", method,
+                                    "--rank", "3", "--seed", "1", "--output", "m.s3dm"])
+        for method in ("s3dsvd", "tucker", "cpd")
+    ]
+    cases += [
+        ("reconstruct", 0, ["reconstruct", "--input", model, "--k", "3", "--output", "r.s3dv",
+                            "--slices", "0,2"]),
+        ("metrics", 0, ["metrics", "--input", vol, "--model", model, "--k", "3",
+                        "--no-timing"]),
+        ("sweep", 0, ["sweep", "--input", vol, "--method", "s3dsvd,tucker,cpd", "--ks", "2,3",
+                      "--seeds", "0,1", "--no-timing"]),
+        ("plotdata", 0, ["plotdata", "--csv", "{in}/sweep.csv", "--curve", "per"]),
+        ("exit 2", 2, ["sweep", "--ks", "2"]),
+        ("exit 3", 3, ["decompose", "--input", "{in}/trash.s3dv", "--method", "s3dsvd",
+                       "--rank", "2", "--output", "m.s3dm"]),
+        ("exit 4", 4, ["reconstruct", "--input", "{in}/nan.s3dm", "--k", "2",
+                       "--output", "r.s3dv"]),
+        ("exit 5", 5, ["gen", "--kind", "blobs", "--dims", "4,4,4", "--output", "no/x.s3dv"]),
+    ]
+    return [pytest.param(argv, code, id=name) for name, code, argv in cases]
+
+
+@pytest.fixture(scope="module")
+def module_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    x = volume_io.gen_synthetic("blobs_noisy", (10, 11, 12), seed=1)
+    volume_io.write_volume(d / "vol.s3dv", x)
+    model = s3dsvd.decompose(x, 4)
+    volume_io.write_model(d / "model.s3dm", model)
+    data = bytearray(volume_io.model_to_bytes(model))
+    struct.pack_into("<d", data, 24 + 8 * model.rank * sum(model.dims), math.nan)
+    (d / "nan.s3dm").write_bytes(bytes(data))
+    (d / "trash.s3dv").write_bytes(b"trash")
+    rows = cli.run_sweep(x, ["s3dsvd"], [2, 3, 4]).rows
+    cli._write_csv(rows, cli._csv_columns(False, False), d / "sweep.csv")
+    return d
+
+
+class TestModuleRun:
+    """``python -m volrank.cli`` runs :func:`volrank.cli.entry_point`, which freezes
+    the collector before the process ends; nothing it writes may change."""
+
+    @pytest.mark.parametrize("argv, want", _module_cases())
+    def test_same_bytes_and_code_as_main(self, argv, want, module_inputs, tmp_path,
+                                         monkeypatch, capsys):
+        argv = [arg.replace("{in}", str(module_inputs)) for arg in argv]
+        results = []
+        for name in ("in_process", "module"):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            if name == "in_process":
+                monkeypatch.chdir(cwd)
+                code = cli.main(argv)
+                out, err = capsys.readouterr()
+            else:
+                done = subprocess.run([sys.executable, "-m", "volrank.cli", *argv], cwd=cwd,
+                                      env=_subprocess_env(), capture_output=True, text=True,
+                                      timeout=120)
+                code, out, err = done.returncode, done.stdout, done.stderr
+            files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+            err = re.sub(r"elapsed_s=\S+", "elapsed_s=<time>", err)
+            results.append((code, out, err, files))
+        assert results[0][0] == want
+        assert results[0] == results[1]
+
+
 class TestOverflow:
     def test_cpd_overflow_exits_4_and_writes_no_model(self, tmp_path, capsys):
         out = tmp_path / "m.s3dm"
@@ -1065,6 +1177,26 @@ class TestOverflow:
         assert done.stderr == (
             "volrank: error: NumericError: psnr is undefined for peak 1.0 and mse inf\n"
         )
+
+
+class TestUnderflow:
+    def test_metrics_of_a_tiny_volume_are_those_of_its_unscaled_copy(self, tmp_path, capsys):
+        # At 2**-600 every square underflows to 0.0; this once exited 4 with
+        # "per is undefined when all qsigma are zero".
+        x = volume_io.gen_synthetic("blobs_noisy", (20, 24, 28), seed=3)
+        rows = []
+        for name, scale in (("plain", 1.0), ("tiny", 2.0**-600)):
+            vol, model = tmp_path / f"{name}.s3dv", tmp_path / f"{name}.s3dm"
+            volume_io.write_volume(vol, x * scale)
+            assert run_cli("decompose", "--input", vol, "--method", "s3dsvd", "--rank", "6",
+                           "--output", model) == 0
+            capsys.readouterr()
+            assert run_cli("metrics", "--input", vol, "--model", model, "--k", "4",
+                           "--no-timing") == 0
+            rows.append(next(csv.DictReader(io.StringIO(capsys.readouterr().out))))
+        plain, tiny = rows
+        for key in ("psnr_db", "rel_err", "per"):
+            assert float(tiny[key]) == pytest.approx(float(plain[key]), rel=1e-12, abs=0.0)
 
 
 class TestImportCost:

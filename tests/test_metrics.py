@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from volrank import cli, errors, metrics, s3dsvd, tensor_core
+from volrank import cli, errors, metrics, s3dsvd, tensor_core, volume_io
 
 from oracles import mse_loop
 from test_cli import _subprocess_env
@@ -337,3 +339,101 @@ class TestBlockedResidual:
             for threads in ("1", "2")
         ]
         assert outs[0] == outs[1]
+
+
+# A volume, its level-4 reconstruction and its rank-6 model, to be scaled by
+# 2**e.  Scaling by a power of two is exact while values stay normal, so
+# every output should scale with it: a norm by 2**e, an mse by 4**e and
+# PSNR, relative error and PER not at all.
+SCALED = volume_io.gen_synthetic("blobs_noisy", (20, 24, 28), seed=3)
+SCALED_MODEL = s3dsvd.decompose(SCALED, 6)
+SCALED_XHAT = s3dsvd.reconstruct(SCALED_MODEL, 4)
+_MAGNITUDES = np.abs(np.concatenate(
+    [a.ravel() for a in (SCALED, SCALED_XHAT, SCALED - SCALED_XHAT, SCALED_MODEL.qsigma)]
+))
+_SMALLEST = float(_MAGNITUDES[_MAGNITUDES > 0].min())
+# The range of e over which every nonzero value above stays a normal double.
+E_MIN = math.ceil(math.log2(sys.float_info.min / _SMALLEST))
+E_MAX = math.floor(math.log2(sys.float_info.max / _MAGNITUDES.max()))
+# Every square and mean the metrics form lies between these two, so where
+# both stay normal no sum loses a digit and no rescaling branch is taken.
+_LEAST_SQUARE = min(_SMALLEST**2, metrics.mse(SCALED, SCALED_XHAT))
+_LARGEST_SUM = SCALED.size * float(_MAGNITUDES.max()) ** 2
+
+
+def _scaled(e):
+    s = 2.0**e
+    model = dataclasses.replace(SCALED_MODEL, core=SCALED_MODEL.core * s)
+    return SCALED * s, SCALED_XHAT * s, model
+
+
+def _outputs(x, xhat, model):
+    """``(name, value, power)`` of each output that scales as ``2**(e * power)``."""
+    yield "frobenius_norm", tensor_core.frobenius_norm(x), 1
+    yield "mse", metrics.mse(x, xhat), 2
+    yield "psnr", metrics.psnr(x, xhat), 0
+    yield "rel_err", metrics.rel_err(x, xhat), 0
+    row = metrics.score(x, xhat, "s3dsvd", 4)
+    yield "score mse", row["mse"], 2
+    yield "score psnr_db", row["psnr_db"], 0
+    yield "score rel_err", row["rel_err"], 0
+    for k in range(1, model.rank + 1):
+        yield f"per k={k}", metrics.per(model, k), 0
+    yield "select_rank_by_per", metrics.select_rank_by_per(model, 0.99), 0
+
+
+_UNSCALED = list(_outputs(*_scaled(0)))
+
+
+class TestScaling:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @example(-600)
+    @example(-530)
+    @example(600)
+    @given(st.integers(E_MIN, E_MAX))
+    def test_every_output_scales_with_the_volume(self, e):
+        # Bit for bit where every square stays normal; elsewhere a sum was
+        # rescaled by the largest magnitude, which costs a few roundings.
+        # An mse is the sum over the size, so it is inf where that sum
+        # overflows, as documented, and keeps only its absolute digits below
+        # the least normal double.
+        s = 2.0**e
+        exact = all(tensor_core._normal(v * s * s) for v in (_LEAST_SQUARE, _LARGEST_SUM))
+        for (name, want, power), (_, got, _) in zip(_UNSCALED, _outputs(*_scaled(e))):
+            for _ in range(power):
+                want *= s
+            if exact or want == math.inf:
+                assert got == want, name
+            elif power == 2 and want > sys.float_info.max / SCALED.size:
+                assert got == math.inf, name
+            elif power == 2 and want < sys.float_info.min:
+                assert abs(got - want) < sys.float_info.min, name
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+    def test_underflowed_fit_keeps_the_metrics_of_the_unscaled_fit(self):
+        # At 2**-600 every square underflows to 0.0: frobenius_norm once read
+        # 0.0, psnr inf ("exact"), and rel_err and per raised
+        # DegenerateInputError, for a volume that is not zero.
+        s = 2.0**-600
+        x = SCALED * s
+        model = s3dsvd.decompose(x, 6)
+        xhat = s3dsvd.reconstruct(model, 4)
+        assert tensor_core.frobenius_norm(x) == pytest.approx(
+            tensor_core.frobenius_norm(SCALED) * s, rel=1e-12, abs=0.0
+        )
+        assert metrics.psnr(x, xhat) == pytest.approx(
+            metrics.psnr(SCALED, SCALED_XHAT), rel=1e-12, abs=0.0
+        )
+        assert metrics.rel_err(x, xhat) == pytest.approx(
+            metrics.rel_err(SCALED, SCALED_XHAT), rel=1e-12, abs=0.0
+        )
+        assert [metrics.per(model, k) for k in range(1, 7)] == pytest.approx(
+            [metrics.per(SCALED_MODEL, k) for k in range(1, 7)], rel=1e-12, abs=0.0
+        )
+        # A level scored from slabs of its expansion forms it to rescale.
+        for k in (4, 6):
+            got = s3dsvd._score(x, model.core, model.factors, k, "s3dsvd")
+            want = metrics.score(SCALED, s3dsvd.reconstruct(SCALED_MODEL, k), "s3dsvd", k)
+            for key in ("psnr_db", "rel_err"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key

@@ -11,6 +11,7 @@ import ast
 import builtins
 import dataclasses
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -110,6 +111,36 @@ def test_each_report_script_starts(script):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def test_cli_cost_report_runs_one_pair(tmp_path):
+    # One pair at 16^3, this checkout on both sides: every child must exit
+    # 0, and each side's file must hold its runs and the environment.  The
+    # edge cuts reconstruct --k 32 to --k 16, which already runs: 9 children,
+    # the last split into three parts.
+    tree = str(TOOLS.parent)
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "cli_cost_report.py"), "--parent", tree, "--change", tree,
+         "--tag", "smoke", "--pairs", "1", "--size", "16", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if not line.startswith(("#", " "))]
+    assert len(lines) == 9 and all("failed 0/1; change" in line for line in lines)
+    parts = [line.split(":")[0].strip() for line in done.stdout.splitlines()
+             if line.startswith(" ")]
+    assert parts == ["startup", "command", "teardown"]
+    for side in ("parent", "change"):
+        with open(tmp_path / f"BENCH_smoke_{side}.json") as fh:
+            bench = json.load(fh)
+        assert bench["side"] == side
+        assert {"numpy", "numpy_blas", "OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"} <= set(
+            bench["env"]
+        )
+        assert [run["child"] for run in bench["pairs"]] == [line.split(":")[0] for line in lines]
+        assert all(run["exit_code"] == 0 and run["wall_s"] > 0 for run in bench["pairs"])
+        split = bench["pairs"][-1]
+        assert all(split[part] > 0 for part in ("startup_s", "command_s", "teardown_s"))
 
 
 def test_each_package_name_a_report_script_reads_exists():
