@@ -44,6 +44,7 @@ reconstruction.
 import contextvars
 from dataclasses import dataclass
 import math
+import sys
 import time
 
 import numpy as np
@@ -254,7 +255,10 @@ def cpd_decompose(x, k, seed, max_iters=300, tol=1e-6):
     sweep.  A normal-equation matrix that fails its Cholesky test or its
     LU solve gets a diagonal ridge of ``1e-12`` times its mean diagonal
     (``1e-12`` when that is zero), so success does not depend on the scale
-    of ``x``, and the fit continues with ``ridge_applied`` set.  The returned
+    of ``x``, and the fit continues with ``ridge_applied`` set.  Where
+    ``||x||^2`` is below the least normal double, the sweeps run on the core
+    scaled by a power of two, which is exact, and the weights are scaled
+    back, so the fit has the sweeps of the unscaled volume's.  The returned
     factors are ``u_m @ f_m``.
 
     The sweep holds each factor rank-major, shape ``(k, rc)``.  It makes
@@ -289,6 +293,13 @@ def _compress(x, bases, k):
 def _cpd_als(hosvd, normx, k, seed, max_iters, tol):
     """:func:`cpd_decompose`'s ALS on ``hosvd.core``, for ``x`` of norm ``normx``."""
     g, us = hosvd.core, hosvd.factors
+    # Where ||x||^2 is below the least normal double, the Grams, the column
+    # norms and _fit_error's squares underflow.  The sweeps then run on g
+    # scaled by 2^-e, which is exact, and the weights are scaled back.
+    e = 0
+    if 0.0 < normx and normx * normx < sys.float_info.min:
+        e = math.frexp(normx)[1]
+        g, normx = np.ldexp(g, -e), math.ldexp(normx, -e)
     r1, r2, r3 = g.shape
     rng = np.random.default_rng(seed)
     # Rank-major factors: row r of ft[m] is column r of mode m + 1's core factor.
@@ -357,7 +368,7 @@ def _cpd_als(hosvd, normx, k, seed, max_iters, tol):
         dims=hosvd.dims,
         rank=k,
         factors=tuple(u @ f.T for u, f in zip(us, ft)),
-        weights=weights,
+        weights=np.ldexp(weights, e),
         seed=seed,
         iterations_run=len(history),
         converged=converged,

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import volrank
 from volrank import baselines, errors, metrics, s3dsvd, tensor_core as tc, volume_io
@@ -509,6 +510,45 @@ class TestCpdBlasThreads:
             )
             models.append(path.read_bytes())
         assert models[0] == models[1]
+
+
+_BLOBS = volume_io.gen_synthetic("blobs_noisy", (20, 24, 28), seed=3)
+_BLOBS_CPD = baselines.cpd_decompose(_BLOBS, 4, 0)
+
+
+class TestCpdUnderflow:
+    """Scaling a volume by 2^e is exact, so a CPD fit must scale with it.
+
+    Below ``||x||^2`` of the least normal double the sweeps once lost the
+    Grams and the column norms to underflow: from e = -540 a fit stopped
+    after 2 sweeps with ``fit_history`` (0.0, 0.0), and at e = -520 it
+    raised ``NumericError`` on a finite volume.
+    """
+
+    def _assert_scaled_fit(self, e):
+        s = 2.0**e
+        model = baselines.cpd_decompose(_BLOBS * s, 4, 0)
+        assert model.iterations_run == _BLOBS_CPD.iterations_run == 172
+        assert model.converged == _BLOBS_CPD.converged
+        assert model.fit_history == pytest.approx(_BLOBS_CPD.fit_history, rel=1e-12, abs=0.0)
+        assert model.weights == pytest.approx(_BLOBS_CPD.weights * s, rel=1e-12, abs=0.0)
+        got = metrics.psnr(_BLOBS * s, baselines.cpd_reconstruct(model))
+        want = metrics.psnr(_BLOBS, baselines.cpd_reconstruct(_BLOBS_CPD))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=12)
+    @example(-1000)
+    @example(-600)
+    @example(-540)
+    @example(-500)
+    @given(st.integers(-1000, -500))
+    def test_every_fit_keeps_the_sweeps_of_the_unscaled_fit(self, e):
+        self._assert_scaled_fit(e)
+
+    def test_fit_that_once_raised_numeric_error_runs(self):
+        # Between the underflow of every square and the values that never
+        # underflow, a factor once went non-finite in mode 2.
+        self._assert_scaled_fit(-530)
 
 
 class TestCpdOnTheCore:

@@ -1199,6 +1199,18 @@ class TestUnderflow:
             assert float(tiny[key]) == pytest.approx(float(plain[key]), rel=1e-12, abs=0.0)
 
 
+    def test_cpd_fit_of_a_tiny_volume_runs_the_sweeps_of_its_unscaled_copy(self, tmp_path,
+                                                                           capsys):
+        # At 2**-600 the ALS Grams underflowed: the fit stopped after 2
+        # sweeps, "converged", at 15.13 dB where the unscaled fit reads 31.97.
+        x = volume_io.gen_synthetic("blobs_noisy", (20, 24, 28), seed=3)
+        vol, model = tmp_path / "tiny.s3dv", tmp_path / "tiny.s3dm"
+        volume_io.write_volume(vol, x * 2.0**-600)
+        assert run_cli("decompose", "--input", vol, "--method", "cpd", "--rank", "4",
+                       "--seed", "0", "--output", model) == 0
+        assert " iterations=172 converged=True\n" in capsys.readouterr().err
+
+
 class TestImportCost:
     def test_cli_import_leaves_concurrent_futures_unloaded(self):
         # It brings logging and threading, about 10 ms of every CLI call;

@@ -11,6 +11,7 @@ import ast
 import builtins
 import dataclasses
 import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -116,8 +117,8 @@ def test_each_report_script_starts(script):
 def test_cli_cost_report_runs_one_pair(tmp_path):
     # One pair at 16^3, this checkout on both sides: every child must exit
     # 0, and each side's file must hold its runs and the environment.  The
-    # edge cuts reconstruct --k 32 to --k 16, which already runs: 9 children,
-    # the last split into three parts.
+    # edge cuts reconstruct --k 32 to --k 16, which already runs: 10
+    # children, the last split into three parts.
     tree = str(TOOLS.parent)
     done = subprocess.run(
         [sys.executable, str(TOOLS / "cli_cost_report.py"), "--parent", tree, "--change", tree,
@@ -126,7 +127,7 @@ def test_cli_cost_report_runs_one_pair(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = [line for line in done.stdout.splitlines() if not line.startswith(("#", " "))]
-    assert len(lines) == 9 and all("failed 0/1; change" in line for line in lines)
+    assert len(lines) == 10 and all("failed 0/1; change" in line for line in lines)
     parts = [line.split(":")[0].strip() for line in done.stdout.splitlines()
              if line.startswith(" ")]
     assert parts == ["startup", "command", "teardown"]
@@ -137,10 +138,64 @@ def test_cli_cost_report_runs_one_pair(tmp_path):
         assert {"numpy", "numpy_blas", "OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"} <= set(
             bench["env"]
         )
+        openblas = tc._openblas()
+        assert bench["env"]["bundled_openblas"] is (openblas is not None)
+        assert bench["env"]["qr_kernel"] == (
+            "dgeqrt" if hasattr(openblas, "scipy_dgeqrt_64_") else "np.linalg.qr"
+        )
         assert [run["child"] for run in bench["pairs"]] == [line.split(":")[0] for line in lines]
         assert all(run["exit_code"] == 0 and run["wall_s"] > 0 for run in bench["pairs"])
         split = bench["pairs"][-1]
         assert all(split[part] > 0 for part in ("startup_s", "command_s", "teardown_s"))
+
+
+def _option(argv, flag):
+    return argv[argv.index(flag) + 1]
+
+
+def _ints(text):
+    return tuple(int(k) for k in text.split(","))
+
+
+def test_cli_cost_report_runs_the_benchmarks_children(monkeypatch, tmp_path):
+    # The tool keeps its own copy of each workload's ranks, levels and
+    # shapes, so that its process imports nothing large; at the default
+    # edge they must be the benchmark's, or it measures something else.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spec = importlib.util.spec_from_file_location("cli_cost_report", TOOLS / "cli_cost_report.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    compare, study, progressive = workloads.CliCompare, workloads.CpdStudy, workloads.Progressive
+
+    size = 128
+    shapes = {name: (shape, noise) for name, (shape, _, noise)
+              in tool.volumes(0, size, workloads.ref.SCENE_SEED).items()}
+    assert shapes == {
+        "cli-compare.s3dv": (compare.shape, compare.noise),
+        "sweep.s3dv": (compare.shape, compare.noise),
+        "cpd-study.s3dv": (study.shape, study.noise),
+        "progressive.s3dv": (progressive.shape, progressive.noise),
+    }
+    by_input = {}
+    for _, argv in tool.children(str(tmp_path), str(tmp_path), str(tmp_path), size):
+        if argv[0].endswith("rss_probe.py"):
+            by_input.setdefault("rss_probe.py", []).append(argv)
+        elif "--input" in argv:
+            by_input.setdefault(Path(_option(argv, "--input")).name, []).append(argv)
+    (decompose,) = by_input["cli-compare.s3dv"]
+    assert int(_option(decompose, "--rank")) == compare.rank
+    ladder = [int(_option(argv, "--k")) for argv in by_input["model.s3dm"]]
+    assert ladder == [*compare.ladder, compare.rank]
+    (sweep,) = by_input["sweep.s3dv"]
+    assert _ints(_option(sweep, "--ks")) == compare.sweep_ks
+    (cpd,) = by_input["cpd-study.s3dv"]
+    assert _ints(_option(cpd, "--ks")) == study.sweep_ks
+    assert _ints(_option(cpd, "--seeds")) == study.seeds
+    (probe,) = by_input["rss_probe.py"]
+    assert probe[0] == str(tmp_path / "perfbench" / "rss_probe.py")
+    assert Path(probe[1]).name == "progressive.s3dv"
+    assert (int(probe[3]), _ints(probe[4])) == (progressive.rank, progressive.sweep_ks)
 
 
 def test_each_package_name_a_report_script_reads_exists():

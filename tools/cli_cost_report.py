@@ -1,4 +1,4 @@
-"""Time the benchmark's CLI children on two volrank trees, in alternating pairs.
+"""Time the benchmark's children on two volrank trees, in alternating pairs.
 
     python3 tools/cli_cost_report.py --parent TREE --change TREE --tag T
         [--pairs N] [--size N] [--seed N] [--out DIR]
@@ -15,28 +15,35 @@ sides alike.  The children are
   sweep at k = 8, 16, 32, all on ``--size``^3 volumes (default 128);
 * the ``cpd-study`` workload's ``cpd`` sweep at k = 8, 16 with seeds 0 and 1
   on a volume half that edge (64^3);
+* the ``progressive`` workload's peak-RSS child, each tree's own
+  ``perfbench/rss_probe.py`` at rank 48 with a sweep at k = 12, 24, 48 on a
+  volume of 3/4, 1 and 5/4 times that edge (96x128x160);
 * ``reconstruct --k 32`` once more, run as the ``volrank`` script runs it
   (``cli.entry_point``) with ``cli.main`` wrapped to stamp the clock when
   it starts and returns, which splits the process into start-up, command
   and teardown.  ``time.perf_counter`` reads a clock every process
   shares, so the stamps and this process's own times line up.
 
-A level above a volume's edge is cut to the edge, so a small ``--size``
-still runs every kind of child.  The inputs are the benchmark's, written by
-this checkout's ``perfbench/reference.py`` for the run seed ``--seed``
-(default 0), so both trees read the same bytes, and each tree writes its
-outputs into a directory of its own.  Every child is started through
-``perfbench/launcher.py``'s ``spawn``, as the benchmark starts its CLI
-calls, from this process, which imports nothing large.
+So every child whose peak resident set a workload's ``peak_rss_mb`` takes
+runs here.  A level above a volume's edge is cut to the edge, so a small
+``--size`` still runs every kind of child.  The inputs are the benchmark's,
+written by this checkout's ``perfbench/reference.py`` for the run seed
+``--seed`` (default 0), so both trees read the same bytes, and each tree
+writes its outputs into a directory of its own.  Every child is started
+through ``perfbench/launcher.py``'s ``spawn``, as the benchmark starts its
+CLI calls, from this process, which imports nothing large.
 
 For each child it prints both sides' median wall time and quartiles, in
 how many pairs the change was faster (ties count for neither side), each
-side's largest peak resident set and its failed runs, and for the split
-child the median of each part.  It writes
+side's largest peak resident set with its range over the runs and its
+failed runs, and for the split child the median of each part.  It writes
 ``BENCH_<tag>_parent.json`` and ``BENCH_<tag>_change.json`` into ``--out``
 (default the current directory), each with every run of its side and the
-environment: numpy's and its OpenBLAS's versions, the thread variables and
-``PYTHONDONTWRITEBYTECODE``.  Thread settings are the caller's.
+environment: numpy's and its OpenBLAS's versions, whether the parent
+tree's volrank found numpy's bundled OpenBLAS and ran its QR as LAPACK's
+``dgeqrt`` or as the ``np.linalg.qr`` fallback, the thread variables and
+``PYTHONDONTWRITEBYTECODE``.  Thread settings are the caller's.  To
+measure one tree, pass it as both ``--parent`` and ``--change``.
 """
 
 import argparse
@@ -72,25 +79,33 @@ cli.entry_point()
 """
 
 
+def volumes(seed, size, scene_seed):
+    """``{file name: (shape, volume seed, noise)}`` of each input at edge ``size``."""
+    return {
+        "cli-compare.s3dv": ((size,) * 3, seed, 0.05),
+        "sweep.s3dv": ((size,) * 3, scene_seed, 0.05),
+        "cpd-study.s3dv": ((max(1, size // 2),) * 3, seed, 0.0),
+        "progressive.s3dv": ((max(1, 3 * size // 4), size, 5 * size // 4), seed, 0.05),
+    }
+
+
 def write_inputs(workdir, seed, size):
     """The inputs and the environment block, written into ``workdir``; run in a child."""
     import numpy as np
     import reference as ref
+    from volrank import tensor_core as tc
 
-    half = max(1, size // 2)
-    volumes = {
-        "cli-compare.s3dv": ((size,) * 3, seed, 0.05),
-        "sweep.s3dv": ((size,) * 3, ref.SCENE_SEED, 0.05),
-        "cpd-study.s3dv": ((half,) * 3, seed, 0.0),
-    }
-    for name, (shape, volume_seed, noise) in volumes.items():
+    for name, (shape, volume_seed, noise) in volumes(seed, size, ref.SCENE_SEED).items():
         ref.write_s3dv(os.path.join(workdir, name), ref.blob_volume(shape, volume_seed, noise))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    openblas = tc._openblas()
     env = {
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
         "numpy_blas": {key: blas.get(key) for key in ("name", "version")},
+        "bundled_openblas": openblas is not None,
+        "qr_kernel": "dgeqrt" if hasattr(openblas, "scipy_dgeqrt_64_") else "np.linalg.qr",
         **{name: os.environ.get(name) for name in ENV_VARS},
     }
     with open(os.path.join(workdir, "env.json"), "w") as fh:
@@ -102,8 +117,8 @@ def _levels(ks, edge):
     return sorted({min(k, edge) for k in ks})
 
 
-def children(workdir, outdir, size):
-    """``(label, python argv)`` of each measured child, in running order."""
+def children(tree, workdir, outdir, size):
+    """``(label, python argv)`` of each measured child of ``tree``, in running order."""
     def inp(name):
         return os.path.join(workdir, name)
 
@@ -116,6 +131,8 @@ def children(workdir, outdir, size):
     rank = min(32, size)
     ks = ",".join(map(str, _levels((8, 16, 32), size)))
     cpd_ks = ",".join(map(str, _levels((8, 16), max(1, size // 2))))
+    probe_rank = min(48, max(1, 3 * size // 4))
+    probe_ks = ",".join(map(str, _levels((12, 24, 48), probe_rank)))
     found = [
         ("python -c pass", ["-c", "pass"]),
         ("import volrank.cli", ["-c", "import volrank.cli"]),
@@ -136,6 +153,9 @@ def children(workdir, outdir, size):
         (f"cpd-study sweep cpd --ks {cpd_ks}",
          cli("sweep", "--input", inp("cpd-study.s3dv"), "--method", "cpd", "--ks", cpd_ks,
              "--seeds", "0,1", "--csv", out("cpd.csv"))),
+        (f"progressive rss_probe.py {probe_rank} {probe_ks}",
+         [os.path.join(tree, "perfbench", "rss_probe.py"), inp("progressive.s3dv"),
+          out("probe.s3dm"), str(probe_rank), probe_ks]),
         (f"reconstruct --k {rank}, split", ["-c", STAMPED, *reconstruct(rank)]),
     ]
     return found
@@ -179,8 +199,9 @@ def summary(label, runs):
     for side in SIDES:
         ok = [run for run in runs[side] if run["exit_code"] == 0]
         timing = _ms([run["wall_s"] for run in ok]) if ok else "no run succeeded"
-        peak = max(run["peak_rss_mb"] for run in runs[side])
-        parts.append(f"{side} {timing} rss {peak:.1f} MB"
+        peaks = [run["peak_rss_mb"] for run in runs[side]]
+        parts.append(f"{side} {timing} rss {max(peaks):.1f} MB"
+                     f" (runs {min(peaks):.1f}-{max(peaks):.1f})"
                      f" failed {len(runs[side]) - len(ok)}/{len(runs[side])}")
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
              if p["exit_code"] == c["exit_code"] == 0]
@@ -228,7 +249,8 @@ def main(argv=None):
         plans = {}
         for side in SIDES:
             os.mkdir(os.path.join(workdir, side))
-            plans[side] = children(workdir, os.path.join(workdir, side), args.size)
+            plans[side] = children(trees[side], workdir, os.path.join(workdir, side),
+                                   args.size)
         labels = [label for label, _ in plans["parent"]]
         runs = {side: {label: [] for label in labels} for side in SIDES}
         records = {side: [] for side in SIDES}
