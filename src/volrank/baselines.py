@@ -87,14 +87,15 @@ class TuckerModel:
     ||x||**2)``, in a form that cannot overflow (De Lathauwer, De Moor &
     Vandewalle, SIMAX 2000), and within about 1e-14 of the reconstruction's
     :func:`volrank.metrics.rel_err`; values below 1e-2, where that form
-    loses digits, are the norm of the residual itself.
+    loses digits, are the norm of the residual itself.  S3DM does not
+    store it, so a model read from a file has the default, ``()``.
     """
 
     dims: tuple
     rank: int
     factors: tuple
     core: np.ndarray
-    fit_history: tuple
+    fit_history: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ class CpModel:
     bit for bit; ``ridge_applied`` flags that at least one least-squares
     step needed diagonal regularization.  ``fit_history`` holds the
     relative error on the fitted volume after each sweep, so it has
-    ``iterations_run`` entries; S3DM does not store it, so a model read
-    from a file has ``()``, as a Tucker model read from a file has.
+    ``iterations_run`` entries.  S3DM stores none of the fields after
+    ``seed``, so a model read from a file has their defaults.
     """
 
     dims: tuple
@@ -114,9 +115,9 @@ class CpModel:
     factors: tuple
     weights: np.ndarray
     seed: int
-    iterations_run: int
-    converged: bool
-    ridge_applied: bool
+    iterations_run: int = 0
+    converged: bool = False
+    ridge_applied: bool = False
     fit_history: tuple = ()
 
 

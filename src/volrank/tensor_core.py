@@ -429,10 +429,15 @@ def _qr_r(a):
     Gustavson, IBM J. Res. Dev. 44(4), 2000), with ``nb = min(32, m, n)``
     columns a block, from numpy's bundled OpenBLAS (:func:`_openblas`).
     On one thread it took 1.6 ms where ``np.linalg.qr``'s ``dgeqrf`` took
-    4.6 ms for a 1,024 x 128 block.  ``dgeqrt`` overwrites its input, so
-    it gets a private Fortran-order copy; ``np.asfortranarray`` would hand
-    back the caller's volume when ``a`` is already a Fortran view of it.
-    Without that library or symbol it is ``np.linalg.qr`` itself.
+    4.6 ms for a 1,024 x 128 block, and a :func:`mode_factor` with it took
+    2.7-3.0, 18-32 and 25-29 ms per mode where one with ``np.linalg.qr``
+    took 4.3-4.9, 40-65 and 59-67 ms, on ``blobs_noisy`` volumes of 64^3
+    at r = 32, 96 x 128 x 160 at r = 48 and 128^3 at r = 32 (least of 10,
+    2-core VM), with factors within 5.3e-13.  ``dgeqrt`` overwrites its
+    input, so it gets a private Fortran-order copy; ``np.asfortranarray``
+    would hand back the caller's volume when ``a`` is already a Fortran
+    view of it.  Without that library or symbol it is ``np.linalg.qr``
+    itself.
     """
     geqrt = getattr(_openblas(), "scipy_dgeqrt_64_", None)
     if geqrt is None:

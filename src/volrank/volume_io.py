@@ -56,19 +56,14 @@ FORMAT_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_NAMES = {"float32": 0, "float64": 1}
 
-# Per method: the header's method code, the model type, the float blocks
-# written after the factors as (name in messages, attribute, number of axes
-# of length rank), and the fields the file does not store.
+# Per method: the header's method code, the model type, and the float
+# blocks written after the factors as (name in messages, attribute, number
+# of axes of length rank).  A field the file does not store takes the model
+# type's default.
 _LAYOUTS = {
-    "s3dsvd": (0, S3dModel, (("core tensor", "core", 3), ("qsigma", "qsigma", 1)), {}),
-    "tucker": (1, TuckerModel, (("core tensor", "core", 3),), {"fit_history": ()}),
-    "cpd": (
-        2,
-        CpModel,
-        (("weights", "weights", 1),),
-        {"iterations_run": 0, "converged": False, "ridge_applied": False,
-         "fit_history": ()},
-    ),
+    "s3dsvd": (0, S3dModel, (("core tensor", "core", 3), ("qsigma", "qsigma", 1))),
+    "tucker": (1, TuckerModel, (("core tensor", "core", 3),)),
+    "cpd": (2, CpModel, (("weights", "weights", 1),)),
 }
 _METHOD_NAMES = {code: name for name, (code, *_) in _LAYOUTS.items()}
 
@@ -206,7 +201,7 @@ def _model_parts(model):
 
     Raises as :func:`model_to_bytes` documents, before any bytes are built.
     """
-    for method, (code, kind, _, _) in _LAYOUTS.items():
+    for method, (code, kind, _) in _LAYOUTS.items():
         if isinstance(model, kind):
             break
     else:
@@ -267,8 +262,8 @@ def _parse_model(fh, size, level):
                 "cpd models reconstruct at their fitted rank; level is not supported"
             )
         level = _check_level(level, rank, "level")
-    _, kind, _, unstored = _LAYOUTS[method]
-    fields = dict(unstored, factors=())
+    kind = _LAYOUTS[method][1]
+    fields = {"factors": ()}
     *flats, seed = np.split(payload, np.cumsum(sizes))
     if method == "cpd":
         fields["seed"] = int(seed.view("<u8")[0])

@@ -4,8 +4,10 @@ dependency and no module imports scipy, every volume the package returns
 is in the layout that metrics and writers use without a copy, and the
 three models share one contract: ``dims, rank, factors`` first, and an
 orthogonal model is those plus a dense core.  The benchmark in
-``perfbench/`` can still trace the package and read its sweep rows, and
-the report scripts in ``tools/`` still start."""
+``perfbench/`` can still trace the package and read its sweep rows.  The
+scripts in ``tools/`` start, ``README.md`` names each, and
+``cli_cost_report.py`` runs the benchmark's children and the library fits
+of ``fit_probe.py`` on the inputs it writes."""
 
 import ast
 import builtins
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 import volrank
-from volrank import baselines, cli, s3dsvd, tensor_core as tc, volume_io
+from volrank import baselines, cli, metrics, s3dsvd, tensor_core as tc, volume_io
 
 MODULES = ("baselines", "errors", "metrics", "s3dsvd", "tensor_core", "volume_io")
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -104,8 +106,8 @@ def test_every_docstring_reference_resolves():
     assert unresolved == []
 
 
-# No fast test runs a report, and they reach into private names
-# (``tensor_core._qr_r``, ``tensor_core._openblas``); each must at least start.
+# The tools reach into private names (``tensor_core._openblas``); each
+# must at least start.
 @pytest.mark.parametrize("script", sorted(path.name for path in TOOLS.glob("*.py")))
 def test_each_report_script_starts(script):
     done = subprocess.run([sys.executable, str(TOOLS / script), "--help"],
@@ -114,11 +116,19 @@ def test_each_report_script_starts(script):
     assert done.stdout.startswith("usage:")
 
 
+def test_readme_names_every_tool():
+    # A script no document names goes stale unnoticed.
+    readme = (TOOLS.parent / "README.md").read_text()
+    assert [path.name for path in sorted(TOOLS.glob("*.py"))
+            if f"tools/{path.name}" not in readme] == []
+
+
 def test_cli_cost_report_runs_one_pair(tmp_path):
     # One pair at 16^3, this checkout on both sides: every child must exit
     # 0, and each side's file must hold its runs and the environment.  The
-    # edge cuts reconstruct --k 32 to --k 16, which already runs: 10
-    # children, the last split into three parts.
+    # edge cuts reconstruct --k 32 to --k 16, which already runs: 11
+    # children, the library fits with their record and the last split into
+    # three parts.
     tree = str(TOOLS.parent)
     done = subprocess.run(
         [sys.executable, str(TOOLS / "cli_cost_report.py"), "--parent", tree, "--change", tree,
@@ -126,15 +136,24 @@ def test_cli_cost_report_runs_one_pair(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    lines = [line for line in done.stdout.splitlines() if not line.startswith(("#", " "))]
-    assert len(lines) == 10 and all("failed 0/1; change" in line for line in lines)
-    parts = [line.split(":")[0].strip() for line in done.stdout.splitlines()
+    out = done.stdout.splitlines()
+    lines = [line for line in out if not line.startswith(("#", " "))]
+    assert len(lines) == 11 and all("failed 0/1; change" in line for line in lines)
+    parts = [line.split(":")[0].strip() for line in out[out.index(lines[-1]) + 1:]
              if line.startswith(" ")]
     assert parts == ["startup", "command", "teardown"]
+    fits = {}
     for side in ("parent", "change"):
         with open(tmp_path / f"BENCH_smoke_{side}.json") as fh:
             bench = json.load(fh)
         assert bench["side"] == side
+        (fits[side],) = [run["fits"] for run in bench["pairs"] if "fits" in run]
+        assert set(fits[side]) == {"factors", "c7", "cpd_fits"}
+        assert all(set(row) == {"input", "rank", "mode_s"} for row in fits[side]["factors"])
+        assert all(set(row) == {"k", "time_s", "psnr_db", "sweeps", "converged"}
+                   for row in fits[side]["c7"])
+        assert all(set(row) == {"k", "seed", "fit_s", "psnr_db", "sweeps", "converged"}
+                   for row in fits[side]["cpd_fits"])
         assert {"numpy", "numpy_blas", "OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"} <= set(
             bench["env"]
         )
@@ -147,6 +166,44 @@ def test_cli_cost_report_runs_one_pair(tmp_path):
         assert all(run["exit_code"] == 0 and run["wall_s"] > 0 for run in bench["pairs"])
         split = bench["pairs"][-1]
         assert all(split[part] > 0 for part in ("startup_s", "command_s", "teardown_s"))
+    # One tree on both sides fits the same models: only the times differ.
+    for key in ("c7", "cpd_fits"):
+        for parent, change in zip(fits["parent"][key], fits["change"][key], strict=True):
+            assert {f: parent[f] for f in ("psnr_db", "sweeps", "converged")} == {
+                f: change[f] for f in ("psnr_db", "sweeps", "converged")
+            }
+
+
+def _tool(name):
+    """The ``tools/`` script ``name`` loaded as a module, its ``main`` not run."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _fit_plan(tool, tree, workdir, size):
+    (argv,) = [argv for _, argv in tool.children(tree, workdir, workdir, size)
+               if argv[0] == tool.FIT_PROBE]
+    return json.loads(argv[1])
+
+
+def test_fit_probe_scores_the_input_it_was_given(tmp_path, capsys):
+    # The child reads C7's volume from the file the input writer made, so
+    # its s3dsvd PSNRs are those of the volume in that file.
+    tool = _tool("cli_cost_report")
+    tool.write_inputs(str(tmp_path), 0, 16)
+    plan = _fit_plan(tool, str(TOOLS.parent), str(tmp_path), 16)
+    capsys.readouterr()
+    _tool("fit_probe").main([json.dumps(plan)])
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    x = volume_io.read_volume(plan["c7"]["path"])
+    assert x.shape == tool.c7_shape(16)
+    assert [row["k"] for row in record["c7"]] == [8]
+    for row in record["c7"]:
+        k = row["k"]
+        want = metrics.psnr(x, s3dsvd.reconstruct(s3dsvd.decompose(x, k), k))
+        assert row["psnr_db"]["s3dsvd"] == want
 
 
 def _option(argv, flag):
@@ -163,9 +220,7 @@ def test_cli_cost_report_runs_the_benchmarks_children(monkeypatch, tmp_path):
     # edge they must be the benchmark's, or it measures something else.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    spec = importlib.util.spec_from_file_location("cli_cost_report", TOOLS / "cli_cost_report.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("cli_cost_report")
     compare, study, progressive = workloads.CliCompare, workloads.CpdStudy, workloads.Progressive
 
     size = 128
@@ -196,6 +251,22 @@ def test_cli_cost_report_runs_the_benchmarks_children(monkeypatch, tmp_path):
     assert probe[0] == str(tmp_path / "perfbench" / "rss_probe.py")
     assert Path(probe[1]).name == "progressive.s3dv"
     assert (int(probe[3]), _ints(probe[4])) == (progressive.rank, progressive.sweep_ks)
+    # The library fits: each workload's input at its rank (cpd-study's at
+    # the rank its largest k compresses to), cpd-study's sweep as single
+    # fits, and acceptance C7 on its own volume.
+    plan = _fit_plan(tool, str(tmp_path), str(tmp_path), size)
+    assert [(Path(path).name, rank) for path, rank in plan["factors"]] == [
+        ("cli-compare.s3dv", compare.rank),
+        ("progressive.s3dv", progressive.rank),
+        ("cpd-study.s3dv", 2 * max(study.sweep_ks)),
+    ]
+    assert Path(plan["cpd"]["path"]).name == "cpd-study.s3dv"
+    assert (tuple(plan["cpd"]["ks"]), tuple(plan["cpd"]["seeds"])) == (study.sweep_ks,
+                                                                       study.seeds)
+    assert Path(plan["c7"]["path"]).name == "c7.s3dv"
+    assert tool.c7_shape(size) == (64, 64, 64)
+    assert plan["c7"]["ks"] == [8, 16, 24]
+    assert plan["c7"]["seeds"] == list(range(10))
 
 
 def test_each_package_name_a_report_script_reads_exists():
@@ -209,7 +280,7 @@ def test_each_package_name_a_report_script_reads_exists():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id in aliases
     ]
-    assert {"_qr_r", "_openblas", "cpd_study"} <= {attr for _, _, attr in read}
+    assert {"_openblas", "cpd_study", "mode_factor"} <= {attr for _, _, attr in read}
     assert [entry for entry in read if not hasattr(aliases[entry[1]], entry[2])] == []
 
 

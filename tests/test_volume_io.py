@@ -184,6 +184,19 @@ class TestModelRoundtrip:
             assert type(got) is type(model)
             assert volume_io.model_to_bytes(got) == want
 
+    @pytest.mark.parametrize("method", ["s3dsvd", "tucker", "cpd"])
+    def test_parsed_model_is_the_model_of_its_stored_fields(self, method):
+        # Each model type owns the defaults of the fields S3DM does not
+        # store; the short cpd fit's sweep count and history are not those.
+        model = _fitted(method)
+        stored = ("weights", "seed") if method == "cpd" else ("core",)
+        want = type(model)(**{name: getattr(model, name)
+                              for name in ("dims", "rank", "factors", *stored)})
+        got = volume_io.model_from_bytes(volume_io.model_to_bytes(model))
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            assert _same(getattr(got, field.name), getattr(want, field.name)), field.name
+
     def test_writer_rejects_unknown_model_types(self):
         with pytest.raises(TypeError, match="object"):
             volume_io.model_to_bytes(object())
@@ -300,6 +313,15 @@ def _block_offsets(model):
         offsets[what] = (pos, count)
         pos += 8 * count
     return offsets
+
+
+def _same(a, b):
+    """Whether two model field values are equal, arrays by value and type."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
 
 
 def _fitted(method):

@@ -18,6 +18,10 @@ sides alike.  The children are
 * the ``progressive`` workload's peak-RSS child, each tree's own
   ``perfbench/rss_probe.py`` at rank 48 with a sweep at k = 12, 24, 48 on a
   volume of 3/4, 1 and 5/4 times that edge (96x128x160);
+* the library fits, this checkout's ``tools/fit_probe.py`` on the tree's
+  volrank: per-mode factor times on the three workloads' volumes at their
+  ranks, acceptance C7's runtime order, PSNRs and CPD sweeps on its
+  ``blobs`` volume at half the edge (64^3), and ``cpd-study``'s CPD fits;
 * ``reconstruct --k 32`` once more, run as the ``volrank`` script runs it
   (``cli.entry_point``) with ``cli.main`` wrapped to stamp the clock when
   it starts and returns, which splits the process into start-up, command
@@ -25,10 +29,11 @@ sides alike.  The children are
   shares, so the stamps and this process's own times line up.
 
 So every child whose peak resident set a workload's ``peak_rss_mb`` takes
-runs here.  A level above a volume's edge is cut to the edge, so a small
-``--size`` still runs every kind of child.  The inputs are the benchmark's,
-written by this checkout's ``perfbench/reference.py`` for the run seed
-``--seed`` (default 0), so both trees read the same bytes, and each tree
+runs here.  A level or rank above a volume's edge is cut to the edge, so a
+small ``--size`` still runs every kind of child.  The inputs are the
+benchmark's, written by this checkout's ``perfbench/reference.py`` for the
+run seed ``--seed`` (default 0), and C7's, written by the parent tree's
+``gen_synthetic``, each once, so both trees read the same bytes; each tree
 writes its outputs into a directory of its own.  Every child is started
 through ``perfbench/launcher.py``'s ``spawn``, as the benchmark starts its
 CLI calls, from this process, which imports nothing large.
@@ -36,12 +41,18 @@ CLI calls, from this process, which imports nothing large.
 For each child it prints both sides' median wall time and quartiles, in
 how many pairs the change was faster (ties count for neither side), each
 side's largest peak resident set with its range over the runs and its
-failed runs, and for the split child the median of each part.  It writes
-``BENCH_<tag>_parent.json`` and ``BENCH_<tag>_change.json`` into ``--out``
-(default the current directory), each with every run of its side and the
-environment: numpy's and its OpenBLAS's versions, whether the parent
-tree's volrank found numpy's bundled OpenBLAS and ran its QR as LAPACK's
-``dgeqrt`` or as the ``np.linalg.qr`` fallback, the thread variables and
+failed runs, and for the split child the median of each part.  For the
+library fits it prints, per k, the C7 margins ``t_tucker - t_s3dsvd`` and
+``t_cpd - t_tucker`` as the split child's parts, and each side's PSNRs and
+CPD sweeps in its first run, then each side's median factor time per mode
+and each CPD fit's figures.
+
+It writes ``BENCH_<tag>_parent.json`` and ``BENCH_<tag>_change.json`` into
+``--out`` (default the current directory), each with every run of its side
+(a library-fits run with its record as ``fits``) and the environment:
+numpy's and its OpenBLAS's versions, whether the parent tree's volrank
+found numpy's bundled OpenBLAS and ran its QR as LAPACK's ``dgeqrt`` or as
+the ``np.linalg.qr`` fallback, the thread variables and
 ``PYTHONDONTWRITEBYTECODE``.  Thread settings are the caller's.  To
 measure one tree, pass it as both ``--parent`` and ``--change``.
 """
@@ -55,6 +66,7 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+FIT_PROBE = os.path.join(HERE, "fit_probe.py")
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 sys.path.insert(0, PERFBENCH)
 import launcher  # noqa: E402  (the benchmark's spawner; imports nothing large)
@@ -89,14 +101,21 @@ def volumes(seed, size, scene_seed):
     }
 
 
+def c7_shape(size):
+    """Acceptance C7's volume shape at edge ``size``: 64^3 at the default 128."""
+    return (max(1, size // 2),) * 3
+
+
 def write_inputs(workdir, seed, size):
     """The inputs and the environment block, written into ``workdir``; run in a child."""
     import numpy as np
     import reference as ref
-    from volrank import tensor_core as tc
+    from volrank import tensor_core as tc, volume_io
 
     for name, (shape, volume_seed, noise) in volumes(seed, size, ref.SCENE_SEED).items():
         ref.write_s3dv(os.path.join(workdir, name), ref.blob_volume(shape, volume_seed, noise))
+    ref.write_s3dv(os.path.join(workdir, "c7.s3dv"),
+                   volume_io.gen_synthetic("blobs", c7_shape(size), seed=0))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     openblas = tc._openblas()
     env = {
@@ -117,6 +136,10 @@ def _levels(ks, edge):
     return sorted({min(k, edge) for k in ks})
 
 
+def _csv(values):
+    return ",".join(map(str, values))
+
+
 def children(tree, workdir, outdir, size):
     """``(label, python argv)`` of each measured child of ``tree``, in running order."""
     def inp(name):
@@ -129,10 +152,18 @@ def children(tree, workdir, outdir, size):
         return ["-m", "volrank.cli", *map(str, argv)]
 
     rank = min(32, size)
-    ks = ",".join(map(str, _levels((8, 16, 32), size)))
-    cpd_ks = ",".join(map(str, _levels((8, 16), max(1, size // 2))))
+    ks = _csv(_levels((8, 16, 32), size))
+    half = max(1, size // 2)
+    cpd_ks, cpd_seeds = _levels((8, 16), half), [0, 1]
     probe_rank = min(48, max(1, 3 * size // 4))
-    probe_ks = ",".join(map(str, _levels((12, 24, 48), probe_rank)))
+    probe_ks = _csv(_levels((12, 24, 48), probe_rank))
+    plan = {
+        "factors": [[inp("cli-compare.s3dv"), rank], [inp("progressive.s3dv"), probe_rank],
+                    [inp("cpd-study.s3dv"), min(2 * cpd_ks[-1], half)]],
+        "c7": {"path": inp("c7.s3dv"), "ks": _levels((8, 16, 24), half),
+               "seeds": list(range(10))},
+        "cpd": {"path": inp("cpd-study.s3dv"), "ks": cpd_ks, "seeds": cpd_seeds},
+    }
     found = [
         ("python -c pass", ["-c", "pass"]),
         ("import volrank.cli", ["-c", "import volrank.cli"]),
@@ -150,12 +181,13 @@ def children(tree, workdir, outdir, size):
         (f"sweep s3dsvd,tucker --ks {ks}",
          cli("sweep", "--input", inp("sweep.s3dv"), "--method", "s3dsvd,tucker", "--ks", ks,
              "--csv", out("sweep.csv"))),
-        (f"cpd-study sweep cpd --ks {cpd_ks}",
-         cli("sweep", "--input", inp("cpd-study.s3dv"), "--method", "cpd", "--ks", cpd_ks,
-             "--seeds", "0,1", "--csv", out("cpd.csv"))),
+        (f"cpd-study sweep cpd --ks {_csv(cpd_ks)}",
+         cli("sweep", "--input", inp("cpd-study.s3dv"), "--method", "cpd", "--ks", _csv(cpd_ks),
+             "--seeds", _csv(cpd_seeds), "--csv", out("cpd.csv"))),
         (f"progressive rss_probe.py {probe_rank} {probe_ks}",
          [os.path.join(tree, "perfbench", "rss_probe.py"), inp("progressive.s3dv"),
           out("probe.s3dm"), str(probe_rank), probe_ks]),
+        ("library fits fit_probe.py", [FIT_PROBE, json.dumps(plan)]),
         (f"reconstruct --k {rank}, split", ["-c", STAMPED, *reconstruct(rank)]),
     ]
     return found
@@ -178,6 +210,9 @@ def measure(tree, argv, err_path):
         with open(err_path) as err:
             start, returned = map(float, err.read().split()[-2:])
         record.update(zip(PARTS, (start - began, returned - start, began + wall_s - returned)))
+    elif code == 0 and argv[0] == FIT_PROBE:
+        with open(err_path) as err:
+            record["fits"] = json.loads(err.read().splitlines()[-1])
     return record
 
 
@@ -193,6 +228,68 @@ def _ms(values):
     return f"{1e3 * statistics.median(values):.1f} ms [{1e3 * q1:.1f}-{1e3 * q3:.1f}]"
 
 
+def _paired(label, values, word="shorter"):
+    """An indented line comparing ``values``, ``(parent, change)`` seconds by pair.
+
+    It counts the pairs where the change's value is ``word``: shorter or larger.
+    """
+    sides = "; ".join(f"{side} {_ms([pair[i] for pair in values])}"
+                      for i, side in enumerate(SIDES))
+    count = sum(c > p if word == "larger" else c < p for p, c in values)
+    return f"  {label}: {sides}; change {word} in {count}/{len(values)}"
+
+
+# One side's figures of one C7 level, factor or CPD fit, given its rows by
+# run; PSNRs, sweeps and convergence are its first run's.
+def _c7_quality(rows):
+    row = rows[0]
+    psnr = " ".join(f"{method} {db:.2f}" for method, db in row["psnr_db"].items())
+    return (f"psnr_db {psnr}, cpd sweeps {min(row['sweeps'])}-{max(row['sweeps'])}"
+            f" converged {sum(row['converged'])}/{len(row['converged'])}")
+
+
+def _mode_medians(rows):
+    modes = zip(*(row["mode_s"] for row in rows))
+    return " ".join(f"{1e3 * statistics.median(mode):.2f}" for mode in modes) + " ms"
+
+
+def _cpd_fit(rows):
+    row = rows[0]
+    return (f"psnr_db {row['psnr_db']:.2f}, sweeps {row['sweeps']} converged {row['converged']},"
+            f" fit {_ms([row['fit_s'] for row in rows])}")
+
+
+def fit_summary(runs):
+    """Indented lines comparing the :data:`FIT_PROBE` records of ``runs[side]`` by pair."""
+    pairs = [(p["fits"], c["fits"]) for p, c in zip(runs["parent"], runs["change"])
+             if "fits" in p and "fits" in c]
+    if not pairs:
+        return []
+    fits = dict(zip(SIDES, zip(*pairs)))
+
+    def compare(label, key, i, show):
+        rows = {side: [record[key][i] for record in fits[side]] for side in SIDES}
+        return f"  {label}: " + "; ".join(f"{side} {show(rows[side])}" for side in SIDES)
+
+    lines = []
+    first = fits["parent"][0]
+    for i, entry in enumerate(first["c7"]):
+        for late, early in (("tucker", "s3dsvd"), ("cpd", "tucker")):
+            def margin(row):
+                return row["time_s"][late] - row["time_s"][early]
+            lines.append(_paired(f"C7 k={entry['k']} t_{late} - t_{early}",
+                                 [(margin(p["c7"][i]), margin(c["c7"][i])) for p, c in pairs],
+                                 "larger"))
+        lines.append(compare(f"C7 k={entry['k']}", "c7", i, _c7_quality))
+    for i, entry in enumerate(first["factors"]):
+        lines.append(compare(f"mode_factor {entry['input']} r={entry['rank']}, modes 1 2 3",
+                             "factors", i, _mode_medians))
+    for i, entry in enumerate(first["cpd_fits"]):
+        lines.append(compare(f"cpd-study k={entry['k']} seed={entry['seed']}", "cpd_fits", i,
+                             _cpd_fit))
+    return lines
+
+
 def summary(label, runs):
     """Lines comparing ``runs[side]``, each side's records of one child by pair."""
     parts = []
@@ -206,14 +303,10 @@ def summary(label, runs):
     pairs = [(p, c) for p, c in zip(runs["parent"], runs["change"])
              if p["exit_code"] == c["exit_code"] == 0]
     lines = [f"{label}: " + "; ".join(parts) + "; change faster in"
-             f" {sum(c['wall_s'] < p['wall_s'] for p, c in pairs)}/{len(pairs)}"]
+             f" {sum(c['wall_s'] < p['wall_s'] for p, c in pairs)}/{len(pairs)}",
+             *fit_summary(runs)]
     if pairs and PARTS[0] in pairs[0][0]:
-        for part in PARTS:
-            sides = [f"{side} {_ms([pair[i][part] for pair in pairs])}"
-                     for i, side in enumerate(SIDES)]
-            shorter = sum(c[part] < p[part] for p, c in pairs)
-            lines.append(f"  {part[:-2]}: " + "; ".join(sides)
-                         + f"; change shorter in {shorter}/{len(pairs)}")
+        lines += [_paired(part[:-2], [(p[part], c[part]) for p, c in pairs]) for part in PARTS]
     return "\n".join(lines)
 
 
